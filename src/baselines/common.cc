@@ -11,31 +11,6 @@
 
 namespace openima::baselines {
 
-std::vector<autograd::ops::Pair> NearestNeighborPairs(
-    const la::Matrix& normalized, const std::vector<int>& nodes) {
-  std::vector<autograd::ops::Pair> pairs;
-  if (nodes.size() < 2) return pairs;
-  pairs.reserve(nodes.size());
-  const int d = normalized.cols();
-  for (size_t a = 0; a < nodes.size(); ++a) {
-    const float* za = normalized.Row(nodes[a]);
-    int best = -1;
-    float best_sim = -2.0f;
-    for (size_t b = 0; b < nodes.size(); ++b) {
-      if (a == b) continue;
-      const float* zb = normalized.Row(nodes[b]);
-      float sim = 0.0f;
-      for (int j = 0; j < d; ++j) sim += za[j] * zb[j];
-      if (sim > best_sim) {
-        best_sim = sim;
-        best = static_cast<int>(b);
-      }
-    }
-    pairs.push_back({nodes[a], nodes[static_cast<size_t>(best)], 1.0f});
-  }
-  return pairs;
-}
-
 std::vector<int> TrainLabels(const graph::OpenWorldSplit& split) {
   std::vector<int> labels;
   labels.reserve(split.train_nodes.size());

@@ -29,12 +29,6 @@ struct BaselineConfig {
   int num_classes() const { return num_seen + num_novel; }
 };
 
-/// For each node in `nodes`, finds its most cosine-similar other node in
-/// `nodes` (over rows of `normalized`, which must be L2-normalized) and
-/// emits a positive pair — the pseudo-positive pairing used by ORCA.
-std::vector<autograd::ops::Pair> NearestNeighborPairs(
-    const la::Matrix& normalized, const std::vector<int>& nodes);
-
 /// Remapped labels of the split's training nodes.
 std::vector<int> TrainLabels(const graph::OpenWorldSplit& split);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/core/positive_sets.h"
 #include "src/la/matrix_ops.h"
 #include "src/obs/obs.h"
 #include "src/util/logging.h"
@@ -86,7 +87,8 @@ Status OpenLdnClassifier::Train(const graph::Dataset& dataset,
       const float scale =
           options_.pairwise_weight / static_cast<float>(blocks.size());
       for (const auto& block : blocks) {
-        std::vector<ops::Pair> pairs = NearestNeighborPairs(pair_emb, block);
+        std::vector<ops::Pair> pairs =
+            core::NearestNeighborPairs(pair_emb, block);
         // Negative pairs: pair each node with its least similar block peer.
         for (size_t a = 0; a < block.size(); ++a) {
           const float* za = pair_emb.Row(block[a]);
@@ -102,6 +104,8 @@ Status OpenLdnClassifier::Train(const graph::Dataset& dataset,
               worst = static_cast<int>(b);
             }
           }
+          // All-NaN similarities leave no negative peer for this node.
+          if (worst < 0) continue;
           pairs.push_back({block[a], block[static_cast<size_t>(worst)], 0.0f});
         }
         if (!pairs.empty()) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/core/positive_sets.h"
 #include "src/la/matrix_ops.h"
 #include "src/obs/obs.h"
 #include "src/util/logging.h"
@@ -84,7 +85,7 @@ Status OrcaClassifier::Train(const graph::Dataset& dataset,
       const float scale =
           options_.pairwise_weight / static_cast<float>(blocks.size());
       for (const auto& block : blocks) {
-        auto pairs = NearestNeighborPairs(pair_emb, block);
+        auto pairs = core::NearestNeighborPairs(pair_emb, block);
         if (pairs.empty()) continue;
         add_loss(ops::Scale(ops::PairwiseDotBce(logits, pairs), scale));
       }

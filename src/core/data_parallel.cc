@@ -1,11 +1,15 @@
-/// Deterministic data-parallel minibatch training (DESIGN.md §2.8).
+/// The sampled-minibatch trainer (DESIGN.md §2.7, §2.8), one round loop
+/// for every worker count W.
 ///
 /// Each epoch shards the shuffled sampled-minibatch sequence into rounds of
-/// up to W consecutive microbatches. A round runs its microbatches on W
-/// persistent worker replicas (own parameter copy, memory pool, tape,
-/// sampler and counter-keyed RNG stream each), combines the replica
-/// gradients with a fixed-topology binary-tree all-reduce, and takes ONE
-/// Adam step on the primary model, whose weights are then broadcast back to
+/// up to max(1, W) consecutive microbatches and takes ONE Adam step per
+/// round. W = 0 runs every round — one microbatch — in-thread on the
+/// primary model, which steps its own gradients and refreshes pseudo labels
+/// synchronously; it builds no replica, refresh thread or dp_ state. W > 0
+/// runs a round's microbatches on W persistent worker replicas (own
+/// parameter copy, memory pool, tape, sampler and counter-keyed RNG stream
+/// each), combines the replica gradients with a fixed-topology binary-tree
+/// all-reduce, steps the primary model, and broadcasts its weights back to
 /// every replica. The result is bit-identical to the serial reference
 /// (config.data_parallel_reference): the same rounds executed one
 /// microbatch at a time on the primary model, gradients accumulated into
@@ -25,13 +29,13 @@
 /// Induction over rounds: equal weights in, equal gradients out, equal
 /// Adam step, equal weights broadcast.
 ///
-/// The pseudo-label refresh is pipelined behind training: at each refresh
-/// boundary the previously launched background refresh (eval-mode
+/// For W > 0 the pseudo-label refresh is pipelined behind training: at each
+/// refresh boundary the previously launched background refresh (eval-mode
 /// embeddings + K-Means on a weight *snapshot*) is joined and swapped in,
 /// and a new one is launched from the current weights. Labels therefore lag
-/// one refresh period behind the serial trainer — a schedule difference,
-/// not a nondeterminism: the reference mode runs the identical compute
-/// inline at the identical points.
+/// one refresh period behind the synchronous refresh — a schedule
+/// difference, not a nondeterminism: the reference mode runs the identical
+/// compute inline at the identical points.
 
 #include <algorithm>
 #include <memory>
@@ -173,22 +177,16 @@ Status OpenImaModel::EnsureDataParallel(const graph::Dataset& dataset) {
   return Status::OK();
 }
 
-Status OpenImaModel::TrainOneEpochDataParallel(
-    const graph::Dataset& dataset, const graph::OpenWorldSplit& split,
-    graph::NeighborSampler* sampler, int epoch, int num_epochs) {
-  const bool pairwise_on =
-      config_.large_graph_mode && config_.pairwise_loss_weight > 0.0f;
-  if (!config_.use_bpcl_emb && !config_.use_bpcl_logit && !config_.use_ce &&
-      !pairwise_on) {
-    return Status::FailedPrecondition(
-        "no loss component enabled in OpenImaConfig");
+void OpenImaModel::JoinRefresh() {
+  if (dp_ != nullptr && dp_->refresh_group != nullptr) {
+    dp_->refresh_group->Wait();
   }
-  const int n = dataset.num_nodes();
-  const bool pooled = config_.use_memory_pool;
-  const bool reference = config_.data_parallel_reference;
-  refreshed_this_epoch_ = false;
+}
 
-  // ---- Pipelined pseudo-label refresh: swap then launch at boundaries ----
+std::vector<int> OpenImaModel::PipelinedContrastiveLabels(
+    const graph::Dataset& dataset, const graph::OpenWorldSplit& split,
+    int epoch, int num_epochs) {
+  const bool pooled = config_.use_memory_pool;
   const int refresh_every = std::max(1, config_.pseudo_refresh_every);
   const bool boundary = config_.use_pseudo_labels &&
                         epoch >= config_.pseudo_warmup_epochs &&
@@ -197,7 +195,7 @@ Status OpenImaModel::TrainOneEpochDataParallel(
   if (boundary) {
     // (1) Join and swap in the refresh launched one period ago (no-op at
     // the first boundary — nothing is in flight yet, so the first swap
-    // happens one refresh period after the serial trainer's first refresh).
+    // happens one refresh period after the synchronous refresh's first).
     if (dp_->refresh_pending) {
       if (dp_->refresh_group != nullptr) dp_->refresh_group->Wait();
       dp_->refresh_pending = false;
@@ -248,18 +246,41 @@ Status OpenImaModel::TrainOneEpochDataParallel(
     }
   }
 
-  // Labels for this epoch: the double-buffered pseudo labels once the first
-  // swap has happened, manual labels before that (mirrors the serial
-  // trainer's warmup behavior).
-  std::vector<int> cl_labels(static_cast<size_t>(n), -1);
+  // The double-buffered pseudo labels once the first swap has happened,
+  // manual labels before that (mirrors the synchronous refresh's warmup).
+  std::vector<int> labels(static_cast<size_t>(dataset.num_nodes()), -1);
   if (config_.use_pseudo_labels && !cached_pseudo_labels_.empty()) {
-    cl_labels = cached_pseudo_labels_;
+    labels = cached_pseudo_labels_;
   } else if (config_.use_manual_positives) {
     for (int v : split.train_nodes) {
-      cl_labels[static_cast<size_t>(v)] =
+      labels[static_cast<size_t>(v)] =
           split.remapped_labels[static_cast<size_t>(v)];
     }
   }
+  return labels;
+}
+
+Status OpenImaModel::TrainOneEpochRounds(
+    const graph::Dataset& dataset, const graph::OpenWorldSplit& split,
+    graph::NeighborSampler* sampler, int epoch, int num_epochs) {
+  const bool pairwise_on =
+      config_.large_graph_mode && config_.pairwise_loss_weight > 0.0f;
+  if (!config_.use_bpcl_emb && !config_.use_bpcl_logit && !config_.use_ce &&
+      !pairwise_on) {
+    return Status::FailedPrecondition(
+        "no loss component enabled in OpenImaConfig");
+  }
+  const int n = dataset.num_nodes();
+  const bool pooled = config_.use_memory_pool;
+  refreshed_this_epoch_ = false;
+
+  // Without workers the pseudo-label refresh runs synchronously, as in the
+  // full-graph trainer: full eval-mode embeddings through (mini-batch)
+  // K-Means on the paper's cadence. With workers it is pipelined.
+  const std::vector<int> cl_labels =
+      dp_ == nullptr
+          ? ContrastiveLabels(dataset, split, epoch)
+          : PipelinedContrastiveLabels(dataset, split, epoch, num_epochs);
 
   std::vector<int> train_label_of(static_cast<size_t>(n), -1);
   for (int v : split.train_nodes) {
@@ -267,7 +288,7 @@ Status OpenImaModel::TrainOneEpochDataParallel(
         split.remapped_labels[static_cast<size_t>(v)];
   }
 
-  // ---- Executable microbatches, sharded into rounds of up to W ----------
+  // ---- Executable microbatches, sharded into rounds ----------------------
   std::vector<int> order(static_cast<size_t>(n));
   std::iota(order.begin(), order.end(), 0);
   rng_.Shuffle(&order);
@@ -290,28 +311,28 @@ Status OpenImaModel::TrainOneEpochDataParallel(
          std::vector<int>(order.begin() + begin, order.begin() + end)});
   }
 
-  const int W = config_.workers;
+  // The schedule: one optimizer step per round of up to `per_step`
+  // microbatches. Rounds run on the replicas when there are any, and
+  // in-thread on the primary otherwise (W = 0, or the reference mode).
+  const int per_step = std::max(1, config_.workers);
+  const bool threaded = dp_ != nullptr && dp_->set != nullptr;
   const size_t P = model_->parameters().size();
-  double loss_sum = 0.0, ce_sum = 0.0, bpcl_emb_sum = 0.0,
-         bpcl_logit_sum = 0.0, pairwise_sum = 0.0;
-  int batches_stepped = 0;
-  int rounds_stepped = 0;
-  double grad_norm_sum = 0.0;
-  obs::GradNormAccumulator last_grad_norms;
+  EpochSums sums;
   const int64_t watchdog_before = obs::Watchdog::events();
-
-  std::vector<MicrobatchResult> round_results(static_cast<size_t>(W));
+  std::vector<MicrobatchResult> round_results(static_cast<size_t>(per_step));
+  std::vector<la::Matrix*> grid;
+  std::vector<const la::Matrix*> reduced(P);
 
   for (size_t first = 0; first < batches.size();
-       first += static_cast<size_t>(W)) {
+       first += static_cast<size_t>(per_step)) {
     const int R = static_cast<int>(
-        std::min(static_cast<size_t>(W), batches.size() - first));
+        std::min(static_cast<size_t>(per_step), batches.size() - first));
     // Backpropagating loss/R makes the reduced gradient the gradient of the
     // round's mean loss — one serial Adam step over R accumulated
     // microbatches. R == 1 keeps the exact unscaled graph.
     const float inv_round = 1.0f / static_cast<float>(R);
 
-    if (!reference) {
+    if (threaded) {
       TaskGroup group(dp_->set->task_pool());
       for (int j = 0; j < R; ++j) {
         WorkerReplica* rep = dp_->replicas[static_cast<size_t>(j)].get();
@@ -343,9 +364,9 @@ Status OpenImaModel::TrainOneEpochDataParallel(
             config_, model_.get(), sampler, dataset, mb.seeds, cl_labels,
             train_label_of, mb.tag, inv_round, &mb_rng, config_.exec);
         round_results[static_cast<size_t>(j)] = result;
-        if (result.stepped) {
-          // Accumulate this slot's gradients; the primary's own buffers are
-          // overwritten by the next microbatch's backward.
+        if (result.stepped && dp_ != nullptr) {
+          // Reference mode: accumulate this slot's gradients; the primary's
+          // own buffers are overwritten by the next microbatch's backward.
           const auto& params = model_->parameters();
           auto& slot = dp_->ref_grads[static_cast<size_t>(j)];
           for (size_t k = 0; k < P; ++k) {
@@ -353,6 +374,8 @@ Status OpenImaModel::TrainOneEpochDataParallel(
             std::copy(g.data(), g.data() + g.size(), slot[k].data());
           }
         }
+        // Per-microbatch scratch (block-sized matrices and graph nodes, all
+        // dead once RunSampledMicrobatch returns) recycles within the epoch.
         if (pooled) tape_.Reset();
       }
     }
@@ -365,39 +388,27 @@ Status OpenImaModel::TrainOneEpochDataParallel(
     for (int j = 0; j < R; ++j) {
       if (round_results[static_cast<size_t>(j)].stepped) stepped.push_back(j);
     }
-    if (!stepped.empty()) {
-      dp_->reduced.assign(P, nullptr);
+    if (!stepped.empty() && dp_ == nullptr) {
+      // W = 0: the round's one microbatch left its gradients on the primary.
+      OPENIMA_RETURN_IF_ERROR(StepOptimizer(nullptr, &sums));
+    } else if (!stepped.empty()) {
       {
         OPENIMA_OBS_PHASE("allreduce");
         for (size_t k = 0; k < P; ++k) {
-          auto& grid = dp_->reduce_grid;
           grid.clear();
           for (int j : stepped) {
-            la::Matrix* g =
-                reference
-                    ? &dp_->ref_grads[static_cast<size_t>(j)][k]
-                    : &dp_->replicas[static_cast<size_t>(j)]
-                           ->model->parameters()[k]
-                           .node()
-                           ->grad;
-            grid.push_back(g);
+            const size_t slot = static_cast<size_t>(j);
+            grid.push_back(
+                threaded
+                    ? &dp_->replicas[slot]->model->parameters()[k].node()->grad
+                    : &dp_->ref_grads[slot][k]);
           }
           TreeReduce(&grid);
-          dp_->reduced[k] = grid[0];
+          reduced[k] = grid[0];
         }
       }
-      if (obs::TelemetryEnabled()) {
-        obs::GradNormAccumulator acc;
-        for (size_t k = 0; k < P; ++k) {
-          acc.Add(dp_->reduced[k]->data(), dp_->reduced[k]->size());
-        }
-        grad_norm_sum += acc.global();
-        last_grad_norms = std::move(acc);
-      }
-      optimizer_->Step(dp_->reduced);
-      OPENIMA_RETURN_IF_ERROR(obs::Watchdog::ConsumeStatus());
-      ++rounds_stepped;
-      if (!reference) {
+      OPENIMA_RETURN_IF_ERROR(StepOptimizer(&reduced, &sums));
+      if (threaded) {
         // Broadcast the stepped weights so every replica starts the next
         // round from the primary's exact bits.
         for (auto& rep : dp_->replicas) {
@@ -405,73 +416,31 @@ Status OpenImaModel::TrainOneEpochDataParallel(
         }
       }
     }
-    for (int j = 0; j < R; ++j) {
+    for (int j : stepped) {
       const MicrobatchResult& r = round_results[static_cast<size_t>(j)];
-      if (!r.stepped) continue;
-      loss_sum += r.loss;
-      ce_sum += r.ce;
-      bpcl_emb_sum += r.bpcl_emb;
-      bpcl_logit_sum += r.bpcl_logit;
-      pairwise_sum += r.pairwise;
-      ++batches_stepped;
-    }
-    if (!reference && pooled) {
+      sums.loss += r.loss;
+      sums.ce += r.ce;
+      sums.bpcl_emb += r.bpcl_emb;
+      sums.bpcl_logit += r.bpcl_logit;
+      sums.pairwise += r.pairwise;
+      ++sums.terms;
       // Worker graphs are dead (results copied, grads consumed); recycle
       // each replica's tape on the coordinator — no worker is running.
-      for (int j = 0; j < R; ++j) {
-        if (round_results[static_cast<size_t>(j)].stepped) {
-          dp_->replicas[static_cast<size_t>(j)]->tape.Reset();
-        }
+      if (threaded && pooled) {
+        dp_->replicas[static_cast<size_t>(j)]->tape.Reset();
       }
     }
   }
 
-  if (batches_stepped == 0) {
+  if (sums.terms == 0) {
     return Status::FailedPrecondition(
         "sampled training produced no trainable batches");
   }
-
-  // Epoch aggregates: identical formulas to the serial sampled trainer —
-  // loss means over stepped microbatches, gradient norms over the reduced
-  // per-round gradients the optimizer actually consumed.
-  const double inv = 1.0 / static_cast<double>(batches_stepped);
-  const double loss = loss_sum * inv;
-  stats_.epoch_losses.push_back(loss);
-  stats_.epoch_ce_losses.push_back(ce_sum * inv);
-  stats_.epoch_bpcl_emb_losses.push_back(bpcl_emb_sum * inv);
-  stats_.epoch_bpcl_logit_losses.push_back(bpcl_logit_sum * inv);
-  stats_.epoch_pairwise_losses.push_back(pairwise_sum * inv);
-  OPENIMA_OBS_GAUGE("train.loss", loss);
   // Windowed training throughput for the live exporter: microbatches and
   // optimizer rounds land in the current epoch's tick.
-  OPENIMA_OBS_ROLLING_COUNT("train.microbatches", batches_stepped);
-  OPENIMA_OBS_ROLLING_COUNT("train.rounds", rounds_stepped);
-
-  if (obs::TelemetryEnabled()) {
-    const double grad_norm =
-        grad_norm_sum / static_cast<double>(std::max(1, rounds_stepped));
-    stats_.epoch_grad_norms.push_back(grad_norm);
-    obs::EpochRecord record;
-    record.trainer = "OpenIMA";
-    record.epoch = epoch;
-    record.loss = loss;
-    record.has_components = true;
-    record.loss_ce = ce_sum * inv;
-    record.loss_bpcl_emb = bpcl_emb_sum * inv;
-    record.loss_bpcl_logit = bpcl_logit_sum * inv;
-    record.loss_pairwise = pairwise_sum * inv;
-    record.grad_norm = grad_norm;  // mean of per-round reduced-grad norms
-    record.param_grad_norms = last_grad_norms.per_param();  // last round
-    record.watchdog_events = obs::Watchdog::events() - watchdog_before;
-    record.pseudo_labels = last_pseudo_count_;
-    record.pseudo_precision = last_pseudo_precision_;
-    record.alignment_churn = last_alignment_churn_;
-    record.refreshed = refreshed_this_epoch_;
-    record.refresh_snapshot_epoch = dp_->active_snapshot_epoch;
-    FillQualitySnapshot(HeadPredict(dataset), split, &record);
-    OPENIMA_RETURN_IF_ERROR(obs::AppendTelemetry(record));
-  }
-  return Status::OK();
+  OPENIMA_OBS_ROLLING_COUNT("train.microbatches", sums.terms);
+  OPENIMA_OBS_ROLLING_COUNT("train.rounds", sums.steps);
+  return FinishEpoch(dataset, split, epoch, sums, watchdog_before);
 }
 
 }  // namespace openima::core

@@ -39,9 +39,8 @@ obs::json::Value DoubleArray(const std::vector<double>& values) {
   return arr;
 }
 
-}  // namespace
-
-// Declared in train_internal.h; the data-parallel trainer shares it.
+/// Validation/test quality snapshot from the deterministic head argmax (no
+/// RNG draw, so recording it cannot perturb the training stream).
 void FillQualitySnapshot(const std::vector<int>& preds,
                          const graph::OpenWorldSplit& split,
                          obs::EpochRecord* record) {
@@ -92,6 +91,8 @@ void FillQualitySnapshot(const std::vector<int>& preds,
     }
   }
 }
+
+}  // namespace
 
 obs::json::Value TrainStatsJson(const TrainStats& stats) {
   using obs::json::Value;
@@ -290,6 +291,16 @@ void OpenImaModel::ApplyRefreshOutcome(RefreshOutcome outcome,
 
 Status OpenImaModel::Train(const graph::Dataset& dataset,
                            const graph::OpenWorldSplit& split) {
+  const Status status = TrainEpochs(dataset, split);
+  // A pipelined refresh task captures the caller's dataset/split by
+  // reference, so every exit — all epochs done, a stop_after_epochs stop or
+  // an error — joins it before Train() hands back control.
+  JoinRefresh();
+  return status;
+}
+
+Status OpenImaModel::TrainEpochs(const graph::Dataset& dataset,
+                                 const graph::OpenWorldSplit& split) {
   if (epochs_done_ >= config_.epochs) {
     return Status::FailedPrecondition("model already trained");
   }
@@ -309,6 +320,9 @@ Status OpenImaModel::Train(const graph::Dataset& dataset,
     return Status::InvalidArgument(
         "workers > 0 requires sampled_training (the data-parallel trainer "
         "shards sampled minibatches across replicas)");
+  }
+  if (config_.sampled_training && config_.sample_fanout < 0) {
+    return Status::InvalidArgument("sample_fanout must be >= 0");
   }
   const int n = dataset.num_nodes();
   const int nb = std::max(2, std::min(config_.batch_size, n));
@@ -367,12 +381,9 @@ Status OpenImaModel::Train(const graph::Dataset& dataset,
     OPENIMA_OBS_COUNT("train.epochs", 1);
     const int64_t unpooled_before = la::UnpooledAllocCount();
     const int64_t pool_misses_before = pool_.stats().misses;
-    if (config_.workers > 0) {
-      OPENIMA_RETURN_IF_ERROR(TrainOneEpochDataParallel(
+    if (sampler != nullptr) {
+      OPENIMA_RETURN_IF_ERROR(TrainOneEpochRounds(
           dataset, split, sampler.get(), epoch, config_.epochs));
-    } else if (sampler != nullptr) {
-      OPENIMA_RETURN_IF_ERROR(
-          TrainOneEpochSampled(dataset, split, sampler.get(), epoch));
     } else {
       OPENIMA_RETURN_IF_ERROR(
           TrainOneEpoch(dataset, split, ce_labels, nb, epoch));
@@ -391,15 +402,6 @@ Status OpenImaModel::Train(const graph::Dataset& dataset,
     OPENIMA_OBS_ROLLING_COUNT("train.epochs", 1);
     OPENIMA_OBS_TICK();
     obs::NotifyMetricsExporter();
-  }
-  // A stop_after_epochs exit can leave a pipelined refresh in flight whose
-  // task captures the caller's dataset/split by reference; join it before
-  // returning so Train() never hands back control with live references to
-  // caller stack state. The completed outcome stays queued in dp_ and is
-  // swapped in (or checkpointed) exactly as if it were still pending.
-  if (last_epoch < config_.epochs && dp_ != nullptr &&
-      dp_->refresh_pending && dp_->refresh_group != nullptr) {
-    dp_->refresh_group->Wait();
   }
   stats_.pool_stats = pool_.stats();
   stats_.tape_stats = tape_.stats();
@@ -447,8 +449,7 @@ Status OpenImaModel::TrainOneEpoch(const graph::Dataset& dataset,
   // Component sums are plain double reads of already-computed 1x1 graph
   // values — the accumulation graph itself is untouched, so the total loss
   // stays bit-identical to the unrecorded path.
-  double ce_sum = 0.0, bpcl_emb_sum = 0.0, bpcl_logit_sum = 0.0,
-         pairwise_sum = 0.0;
+  EpochSums sums;
   auto add_loss = [&total](const Variable& piece, double* component) {
     *component += static_cast<double>(piece.value()(0, 0));
     total = total.defined() ? ops::Add(total, piece) : piece;
@@ -474,7 +475,7 @@ Status OpenImaModel::TrainOneEpoch(const graph::Dataset& dataset,
       add_loss(ops::Scale(ops::NormalizedSupCon(zb, positives, config_.tau,
                                                 1e-12f, config_.exec),
                           block_scale),
-               &bpcl_emb_sum);
+               &sums.bpcl_emb);
     }
     if (config_.use_bpcl_logit) {
       Variable eb = ops::ConcatRows(
@@ -482,32 +483,18 @@ Status OpenImaModel::TrainOneEpoch(const graph::Dataset& dataset,
       add_loss(ops::Scale(ops::NormalizedSupCon(eb, positives, config_.tau,
                                                 1e-12f, config_.exec),
                           block_scale),
-               &bpcl_logit_sum);
+               &sums.bpcl_logit);
     }
     if (config_.large_graph_mode && config_.pairwise_loss_weight > 0.0f) {
       // ORCA-style pairwise objective: each block node is paired with its
       // most similar block peer (cosine over current eval embeddings).
-      std::vector<ops::Pair> pairs;
-      pairs.reserve(nodes.size());
-      for (size_t a = 0; a < nodes.size(); ++a) {
-        const float* za = pair_emb.Row(nodes[a]);
-        int best = -1;
-        float best_sim = -2.0f;
-        for (size_t b = 0; b < nodes.size(); ++b) {
-          if (a == b) continue;
-          const float* zb = pair_emb.Row(nodes[b]);
-          float sim = 0.0f;
-          for (int j = 0; j < pair_emb.cols(); ++j) sim += za[j] * zb[j];
-          if (sim > best_sim) {
-            best_sim = sim;
-            best = static_cast<int>(b);
-          }
-        }
-        pairs.push_back({static_cast<int>(nodes[a]), nodes[static_cast<size_t>(best)], 1.0f});
+      const std::vector<ops::Pair> pairs =
+          NearestNeighborPairs(pair_emb, nodes);
+      if (!pairs.empty()) {
+        Variable pw = ops::PairwiseDotBce(logits1, pairs);
+        add_loss(ops::Scale(pw, config_.pairwise_loss_weight * block_scale),
+                 &sums.pairwise);
       }
-      Variable pw = ops::PairwiseDotBce(logits1, pairs);
-      add_loss(ops::Scale(pw, config_.pairwise_loss_weight * block_scale),
-               &pairwise_sum);
     }
   }
 
@@ -515,7 +502,7 @@ Status OpenImaModel::TrainOneEpoch(const graph::Dataset& dataset,
     Variable tl = ops::ConcatRows({ops::GatherRows(logits1, split.train_nodes),
                                    ops::GatherRows(logits2, split.train_nodes)});
     add_loss(ops::Scale(ops::SoftmaxCrossEntropy(tl, ce_labels), config_.eta),
-             &ce_sum);
+             &sums.ce);
   }
 
   if (!total.defined()) {
@@ -529,179 +516,84 @@ Status OpenImaModel::TrainOneEpoch(const graph::Dataset& dataset,
     total.Backward();
   }
 
+  OPENIMA_RETURN_IF_ERROR(StepOptimizer(nullptr, &sums));
+  // The epoch is one loss term: the block-scaled sum over every block.
+  sums.loss = total.value()(0, 0);
+  sums.terms = 1;
+  return FinishEpoch(dataset, split, epoch, sums, watchdog_before);
+}
+
+Status OpenImaModel::StepOptimizer(
+    const std::vector<const la::Matrix*>* grads, EpochSums* sums) {
   // Gradient L2 norms (global + per parameter, deterministic sequential
   // accumulation in parameter order) — measured between backward and the
   // optimizer step, only while a telemetry sink wants them.
-  obs::GradNormAccumulator grad_norms;
   if (obs::TelemetryEnabled()) {
-    for (const auto& p : model_->parameters()) {
-      if (!p.HasGrad()) continue;
-      grad_norms.Add(p.grad().data(), p.grad().size());
+    obs::GradNormAccumulator norms;
+    if (grads != nullptr) {
+      for (const la::Matrix* g : *grads) norms.Add(g->data(), g->size());
+    } else {
+      for (const auto& p : model_->parameters()) {
+        if (p.HasGrad()) norms.Add(p.grad().data(), p.grad().size());
+      }
     }
-    stats_.epoch_grad_norms.push_back(grad_norms.global());
+    sums->grad_norm += norms.global();
+    sums->param_grad_norms = norms.per_param();
   }
-
-  optimizer_->Step();
+  ++sums->steps;
+  if (grads != nullptr) {
+    optimizer_->Step(*grads);
+  } else {
+    optimizer_->Step();
+  }
   // Surface a numeric-watchdog trip (kAbort policy) as a training error
-  // instead of optimizing on NaN for the remaining epochs.
-  OPENIMA_RETURN_IF_ERROR(obs::Watchdog::ConsumeStatus());
-
-  const double loss = total.value()(0, 0);
-  stats_.epoch_losses.push_back(loss);
-  stats_.epoch_ce_losses.push_back(ce_sum);
-  stats_.epoch_bpcl_emb_losses.push_back(bpcl_emb_sum);
-  stats_.epoch_bpcl_logit_losses.push_back(bpcl_logit_sum);
-  stats_.epoch_pairwise_losses.push_back(pairwise_sum);
-  OPENIMA_OBS_GAUGE("train.loss", loss);
-
-  if (obs::TelemetryEnabled()) {
-    obs::EpochRecord record;
-    record.trainer = "OpenIMA";
-    record.epoch = epoch;
-    record.loss = loss;
-    record.has_components = true;
-    record.loss_ce = ce_sum;
-    record.loss_bpcl_emb = bpcl_emb_sum;
-    record.loss_bpcl_logit = bpcl_logit_sum;
-    record.loss_pairwise = pairwise_sum;
-    record.grad_norm = grad_norms.global();
-    record.param_grad_norms = grad_norms.per_param();
-    record.watchdog_events = obs::Watchdog::events() - watchdog_before;
-    record.pseudo_labels = last_pseudo_count_;
-    record.pseudo_precision = last_pseudo_precision_;
-    record.alignment_churn = last_alignment_churn_;
-    record.refreshed = refreshed_this_epoch_;
-
-    // Validation-quality snapshot — training stays bit-identical with
-    // telemetry on or off (see FillQualitySnapshot).
-    FillQualitySnapshot(HeadPredict(dataset), split, &record);
-    OPENIMA_RETURN_IF_ERROR(obs::AppendTelemetry(record));
-  }
-  return Status::OK();
+  // instead of optimizing on NaN for the remaining steps.
+  return obs::Watchdog::ConsumeStatus();
 }
 
-Status OpenImaModel::TrainOneEpochSampled(const graph::Dataset& dataset,
-                                          const graph::OpenWorldSplit& split,
-                                          graph::NeighborSampler* sampler,
-                                          int epoch) {
-  const bool pairwise_on =
-      config_.large_graph_mode && config_.pairwise_loss_weight > 0.0f;
-  if (!config_.use_bpcl_emb && !config_.use_bpcl_logit && !config_.use_ce &&
-      !pairwise_on) {
-    return Status::FailedPrecondition(
-        "no loss component enabled in OpenImaConfig");
-  }
-  const int n = dataset.num_nodes();
-  refreshed_this_epoch_ = false;
-  // Pseudo-label refresh is unchanged from the full-graph trainer: full
-  // eval-mode embeddings through (mini-batch) K-Means on the paper's
-  // cadence — only the gradient steps below are sampled.
-  const std::vector<int> cl_labels = ContrastiveLabels(dataset, split, epoch);
-
-  // Remapped label per node for per-batch CE (-1 = unlabeled).
-  std::vector<int> train_label_of(static_cast<size_t>(n), -1);
-  for (int v : split.train_nodes) {
-    train_label_of[static_cast<size_t>(v)] =
-        split.remapped_labels[static_cast<size_t>(v)];
-  }
-
-  std::vector<int> order(static_cast<size_t>(n));
-  std::iota(order.begin(), order.end(), 0);
-  rng_.Shuffle(&order);
-  const int bn = std::max(2, std::min(config_.batch_nodes, n));
-  const int num_batches = (n + bn - 1) / bn;
-  const bool pooled = config_.use_memory_pool;
-
-  double loss_sum = 0.0, ce_sum = 0.0, bpcl_emb_sum = 0.0,
-         bpcl_logit_sum = 0.0, pairwise_sum = 0.0;
-  int batches_stepped = 0;
-  double grad_norm_sum = 0.0;
-  obs::GradNormAccumulator last_grad_norms;
-  const int64_t watchdog_before = obs::Watchdog::events();
-
-  for (int b = 0; b < num_batches; ++b) {
-    const int begin = b * bn;
-    const int end = std::min(n, begin + bn);
-    if (end - begin < 2) continue;
-    const std::vector<int> seeds(order.begin() + begin, order.begin() + end);
-    const uint64_t tag =
-        static_cast<uint64_t>(epoch) * static_cast<uint64_t>(num_batches) +
-        static_cast<uint64_t>(b);
-    // inv_round == 1 keeps the loss graph byte-identical to the
-    // pre-extraction one-step-per-batch trainer (no scaling op at all).
-    // The microbatch RNG is counter-keyed off (seed, tag) — a pure
-    // function, never the sequential model stream — so every microbatch's
-    // randomness is independent of which thread or replica runs it: the
-    // data-parallel trainer derives the SAME stream for the SAME tag,
-    // which is what makes workers=1 bit-identical to this loop
-    // (tests/data_parallel_test.cc).
-    Rng mb_rng(DeriveStreamSeed(seed_, tag));
-    const MicrobatchResult result = RunSampledMicrobatch(
-        config_, model_.get(), sampler, dataset, seeds, cl_labels,
-        train_label_of, tag, /*inv_round=*/1.0f, &mb_rng, config_.exec);
-    // A CE-only batch without labeled seeds has nothing to optimize.
-    if (!result.stepped) continue;
-    if (obs::TelemetryEnabled()) {
-      obs::GradNormAccumulator acc;
-      for (const auto& p : model_->parameters()) {
-        if (!p.HasGrad()) continue;
-        acc.Add(p.grad().data(), p.grad().size());
-      }
-      grad_norm_sum += acc.global();
-      last_grad_norms = std::move(acc);
-    }
-    optimizer_->Step();
-    OPENIMA_RETURN_IF_ERROR(obs::Watchdog::ConsumeStatus());
-    loss_sum += result.loss;
-    ce_sum += result.ce;
-    bpcl_emb_sum += result.bpcl_emb;
-    bpcl_logit_sum += result.bpcl_logit;
-    pairwise_sum += result.pairwise;
-    // Per-batch scratch (block-sized matrices and graph nodes, all dead
-    // once RunSampledMicrobatch returns) recycles within the epoch — the
-    // sampled trainer's zero-allocation steady state is per batch, not per
-    // epoch.
-    if (pooled) tape_.Reset();
-    ++batches_stepped;
-  }
-  if (batches_stepped == 0) {
-    return Status::FailedPrecondition(
-        "sampled training produced no trainable batches");
-  }
-
-  // Epoch aggregates are means over stepped batches (the full-graph
-  // trainer's block_scale averaging, applied post hoc).
-  const double inv = 1.0 / static_cast<double>(batches_stepped);
-  const double loss = loss_sum * inv;
+Status OpenImaModel::FinishEpoch(const graph::Dataset& dataset,
+                                 const graph::OpenWorldSplit& split,
+                                 int epoch, const EpochSums& sums,
+                                 int64_t watchdog_before) {
+  // Losses are means over the summed terms, the gradient norm a mean over
+  // the optimizer steps. A one-term, one-step epoch (the full-graph
+  // trainer) keeps its exact values: x * (1.0 / 1) == x.
+  const double inv = 1.0 / static_cast<double>(sums.terms);
+  const double loss = sums.loss * inv;
   stats_.epoch_losses.push_back(loss);
-  stats_.epoch_ce_losses.push_back(ce_sum * inv);
-  stats_.epoch_bpcl_emb_losses.push_back(bpcl_emb_sum * inv);
-  stats_.epoch_bpcl_logit_losses.push_back(bpcl_logit_sum * inv);
-  stats_.epoch_pairwise_losses.push_back(pairwise_sum * inv);
+  stats_.epoch_ce_losses.push_back(sums.ce * inv);
+  stats_.epoch_bpcl_emb_losses.push_back(sums.bpcl_emb * inv);
+  stats_.epoch_bpcl_logit_losses.push_back(sums.bpcl_logit * inv);
+  stats_.epoch_pairwise_losses.push_back(sums.pairwise * inv);
   OPENIMA_OBS_GAUGE("train.loss", loss);
+  if (!obs::TelemetryEnabled()) return Status::OK();
 
-  if (obs::TelemetryEnabled()) {
-    stats_.epoch_grad_norms.push_back(grad_norm_sum * inv);
-    obs::EpochRecord record;
-    record.trainer = "OpenIMA";
-    record.epoch = epoch;
-    record.loss = loss;
-    record.has_components = true;
-    record.loss_ce = ce_sum * inv;
-    record.loss_bpcl_emb = bpcl_emb_sum * inv;
-    record.loss_bpcl_logit = bpcl_logit_sum * inv;
-    record.loss_pairwise = pairwise_sum * inv;
-    record.grad_norm = grad_norm_sum * inv;  // mean of per-batch globals
-    record.param_grad_norms = last_grad_norms.per_param();  // last batch
-    record.watchdog_events = obs::Watchdog::events() - watchdog_before;
-    record.pseudo_labels = last_pseudo_count_;
-    record.pseudo_precision = last_pseudo_precision_;
-    record.alignment_churn = last_alignment_churn_;
-    record.refreshed = refreshed_this_epoch_;
-    FillQualitySnapshot(HeadPredict(dataset), split, &record);
-    OPENIMA_RETURN_IF_ERROR(obs::AppendTelemetry(record));
+  const double grad_norm =
+      sums.grad_norm * (1.0 / static_cast<double>(sums.steps));
+  stats_.epoch_grad_norms.push_back(grad_norm);
+  obs::EpochRecord record;
+  record.trainer = "OpenIMA";
+  record.epoch = epoch;
+  record.loss = loss;
+  record.has_components = true;
+  record.loss_ce = sums.ce * inv;
+  record.loss_bpcl_emb = sums.bpcl_emb * inv;
+  record.loss_bpcl_logit = sums.bpcl_logit * inv;
+  record.loss_pairwise = sums.pairwise * inv;
+  record.grad_norm = grad_norm;
+  record.param_grad_norms = sums.param_grad_norms;
+  record.watchdog_events = obs::Watchdog::events() - watchdog_before;
+  record.pseudo_labels = last_pseudo_count_;
+  record.pseudo_precision = last_pseudo_precision_;
+  record.alignment_churn = last_alignment_churn_;
+  record.refreshed = refreshed_this_epoch_;
+  if (dp_ != nullptr) {
+    record.refresh_snapshot_epoch = dp_->active_snapshot_epoch;
   }
-  return Status::OK();
+  // Validation-quality snapshot — training stays bit-identical with
+  // telemetry on or off (see FillQualitySnapshot).
+  FillQualitySnapshot(HeadPredict(dataset), split, &record);
+  return obs::AppendTelemetry(record);
 }
 
 OpenImaModel::MicrobatchResult OpenImaModel::RunSampledMicrobatch(
@@ -807,11 +699,14 @@ OpenImaModel::MicrobatchResult OpenImaModel::RunSampledMicrobatch(
           best = c;
         }
       }
-      pairs.push_back({a, best, 1.0f});
+      // Every similarity NaN (a non-finite embedding row): no peer.
+      if (best >= 0) pairs.push_back({a, best, 1.0f});
     }
-    add_loss(ops::Scale(ops::PairwiseDotBce(logits1, pairs),
-                        config.pairwise_loss_weight),
-             &bpw);
+    if (!pairs.empty()) {
+      add_loss(ops::Scale(ops::PairwiseDotBce(logits1, pairs),
+                          config.pairwise_loss_weight),
+               &bpw);
+    }
   }
   if (config.use_ce) {
     std::vector<int> labeled_local, labels;
@@ -838,10 +733,10 @@ OpenImaModel::MicrobatchResult OpenImaModel::RunSampledMicrobatch(
   {
     OPENIMA_OBS_PHASE("backward");
     model->ZeroGrad();
-    // Data-parallel rounds backpropagate loss/R so that summing the R
-    // replica gradients yields the gradient of the round's mean loss. The
-    // scaling op is skipped entirely at inv_round == 1 — the serial trainer
-    // and 1-microbatch rounds keep the exact unscaled graph.
+    // Rounds of R microbatches backpropagate loss/R so that summing their R
+    // gradients yields the gradient of the round's mean loss. The scaling
+    // op is skipped entirely at inv_round == 1 — 1-microbatch rounds keep
+    // the exact unscaled graph.
     if (inv_round != 1.0f) {
       ops::Scale(total, inv_round).Backward();
     } else {

@@ -75,7 +75,8 @@ struct OpenImaConfig {
   /// neighborhoods).
   int sample_fanout = 10;
 
-  /// Seed nodes per sampled minibatch (each takes one optimizer step).
+  /// Seed nodes per sampled minibatch (one optimizer step per round of
+  /// max(1, workers) microbatches).
   int batch_nodes = 1024;
 
   /// Route training-step storage (matrices, graph nodes, kernel scratch)
@@ -104,14 +105,15 @@ struct OpenImaConfig {
   /// thread count. Must outlive the model.
   const exec::Context* exec = nullptr;
 
-  // Deterministic data-parallel training (DESIGN.md §2.8). `workers` > 0
-  // shards each round of up to `workers` consecutive sampled minibatches
-  // across that many persistent model replicas (own arena, tape, sampler
-  // stream per replica), tree-reduces their gradients in a fixed topology,
-  // and takes ONE Adam step per round — bit-identical to accumulating the
-  // same microbatches serially and stepping once, for any worker count
-  // including 1. Requires sampled_training. 0 = the serial
-  // one-step-per-batch trainer (unchanged PR 7 semantics).
+  // Deterministic data-parallel training (DESIGN.md §2.8). A sampled epoch
+  // runs as rounds of max(1, `workers`) consecutive minibatches with ONE
+  // Adam step per round. 0 runs each one-minibatch round in-thread on the
+  // model and refreshes pseudo labels synchronously. `workers` > 0 shards
+  // each round across that many persistent model replicas (own arena, tape,
+  // sampler stream per replica), tree-reduces their gradients in a fixed
+  // topology and pipelines the refresh behind training — bit-identical to
+  // accumulating the same microbatches serially and stepping once, for any
+  // worker count including 1. Values > 0 require sampled_training.
   int workers = 0;
 
   /// Run the data-parallel *schedule* (round accumulation, single step per
@@ -200,7 +202,9 @@ class OpenImaModel {
   /// Runs the training loop from epochs_done() through config.epochs (or
   /// config.stop_after_epochs when set). A fresh model trains from epoch 0;
   /// after LoadCheckpoint, training resumes mid-run. Error once all
-  /// config.epochs epochs are done.
+  /// config.epochs epochs are done. Every return, an error included, first
+  /// joins a background pseudo-label refresh, so the caller may free
+  /// `dataset` and `split` as soon as Train() returns.
   Status Train(const graph::Dataset& dataset,
                const graph::OpenWorldSplit& split);
 
@@ -263,6 +267,22 @@ class OpenImaModel {
     double pairwise = 0.0;
   };
 
+  /// One epoch's loss and gradient-norm sums. A trainer adds one loss term
+  /// per stepped microbatch (the full-graph trainer adds its whole epoch as
+  /// one term) and StepOptimizer adds each step's norms; FinishEpoch turns
+  /// the sums into the epoch's means.
+  struct EpochSums {
+    double loss = 0.0;
+    double ce = 0.0;
+    double bpcl_emb = 0.0;
+    double bpcl_logit = 0.0;
+    double pairwise = 0.0;
+    int terms = 0;            ///< loss terms summed
+    double grad_norm = 0.0;   ///< sum of per-step global gradient norms
+    int steps = 0;            ///< optimizer steps taken
+    std::vector<double> param_grad_norms;  ///< per parameter, last step
+  };
+
   /// Result of one pseudo-label refresh computation (the clustering +
   /// bias-reduced selection over eval-mode embeddings), decoupled from the
   /// bookkeeping that applies it so the data-parallel trainer can run the
@@ -293,6 +313,11 @@ class OpenImaModel {
                                      const graph::OpenWorldSplit& split,
                                      int epoch);
 
+  /// Train() up to the refresh join: validates the config, builds the
+  /// sampler and the data-parallel substrate, and runs the epoch loop.
+  Status TrainEpochs(const graph::Dataset& dataset,
+                     const graph::OpenWorldSplit& split);
+
   /// One forward/backward/step. Every graph node and temporary built here
   /// dies before this returns, so the caller may Reset() the tape right
   /// after. `nb` is the clamped contrastive block size.
@@ -300,27 +325,17 @@ class OpenImaModel {
                        const graph::OpenWorldSplit& split,
                        const std::vector<int>& ce_labels, int nb, int epoch);
 
-  /// Sampled-minibatch epoch: shuffled seed batches of config_.batch_nodes
-  /// nodes, each sampled into a 2-layer block (sample phase), features
-  /// gathered through the backend kernel (gather phase), Eq. 6 losses over
-  /// the batch, one optimizer step per batch. The tape is Reset() after
-  /// every batch, so per-batch scratch recycles within the epoch.
-  Status TrainOneEpochSampled(const graph::Dataset& dataset,
-                              const graph::OpenWorldSplit& split,
-                              graph::NeighborSampler* sampler, int epoch);
-
   /// One sampled microbatch — sample, gather, forward, Eq. 6 losses,
-  /// backward — shared verbatim between the serial trainer (inv_round = 1,
-  /// where the scaling op is skipped so the graph is byte-identical to the
-  /// one-step-per-batch trainer's) and the data-parallel workers (inv_round
-  /// = 1/R, so summing R replica gradients equals the gradient of the mean
-  /// loss). Leaves the reduced gradients in `model`'s parameters; the
-  /// caller owns the optimizer step and the tape reset. `rng` must be the
-  /// counter-keyed stream for exactly this microbatch —
-  /// Rng(DeriveStreamSeed(seed, tag)) — which both the serial trainer and
-  /// the data-parallel workers derive identically, making the draws a pure
-  /// function of position. Static: touches no model state, so replicas can
-  /// run it concurrently.
+  /// backward — run by every round of the sampled trainer, in-thread on the
+  /// primary or on a worker replica. A round of R microbatches passes
+  /// inv_round = 1/R, so summing their gradients gives the gradient of the
+  /// round's mean loss; at R = 1 the scaling op is skipped and the graph is
+  /// unscaled. Leaves the gradients in `model`'s parameters; the caller owns
+  /// the optimizer step and the tape reset. `rng` must be the counter-keyed
+  /// stream for exactly this microbatch — Rng(DeriveStreamSeed(seed, tag))
+  /// — so the draws are a pure function of position, whichever thread or
+  /// replica runs it. Static: touches no model state, so replicas can run
+  /// it concurrently.
   static MicrobatchResult RunSampledMicrobatch(
       const OpenImaConfig& config, EncoderWithHead* model,
       graph::NeighborSampler* sampler, const graph::Dataset& dataset,
@@ -328,20 +343,52 @@ class OpenImaModel {
       const std::vector<int>& train_label_of, uint64_t tag, float inv_round,
       Rng* rng, const exec::Context* ctx);
 
-  /// Data-parallel epoch (config_.workers > 0): rounds of up to W
-  /// microbatches on persistent replicas, fixed-topology tree all-reduce,
-  /// one optimizer step per round, primary-to-replica weight broadcast, and
-  /// the pipelined pseudo-label refresh swap/launch at refresh boundaries.
-  /// With config_.data_parallel_reference, the identical schedule runs
-  /// inline on the primary model. Defined in data_parallel.cc.
-  Status TrainOneEpochDataParallel(const graph::Dataset& dataset,
-                                   const graph::OpenWorldSplit& split,
-                                   graph::NeighborSampler* sampler, int epoch,
-                                   int num_epochs);
+  /// The sampled-minibatch epoch, for every worker count: shuffled seed
+  /// batches of config_.batch_nodes nodes, each one microbatch, cut into
+  /// rounds of max(1, W) with ONE optimizer step per round. W = 0 runs each
+  /// one-microbatch round in-thread on the primary, which steps its own
+  /// gradients, and refreshes pseudo labels synchronously. W > 0 runs each
+  /// round on the persistent replicas, tree-reduces their gradients in a
+  /// fixed topology, steps once and broadcasts the weights back, with the
+  /// pseudo-label refresh pipelined. Under data_parallel_reference the same
+  /// W > 0 rounds run in-thread on the primary. Defined in
+  /// data_parallel.cc.
+  Status TrainOneEpochRounds(const graph::Dataset& dataset,
+                             const graph::OpenWorldSplit& split,
+                             graph::NeighborSampler* sampler, int epoch,
+                             int num_epochs);
+
+  /// One optimizer step on `grads` (one per parameter), or on the primary's
+  /// own gradients when `grads` is null. While telemetry is on, the step's
+  /// gradient norms are added to `sums` first. A numeric-watchdog trip
+  /// (kAbort policy) comes back as an error instead of training on NaN.
+  Status StepOptimizer(const std::vector<const la::Matrix*>* grads,
+                       EpochSums* sums);
+
+  /// The epoch epilogue shared by both trainers: appends the epoch's mean
+  /// losses to stats_, sets the train.loss gauge and, while telemetry is
+  /// on, writes the epoch's obs::EpochRecord. `watchdog_before` is
+  /// obs::Watchdog::events() sampled before the epoch's first backward.
+  Status FinishEpoch(const graph::Dataset& dataset,
+                     const graph::OpenWorldSplit& split, int epoch,
+                     const EpochSums& sums, int64_t watchdog_before);
 
   /// Builds dp_ (replica set, refresh replica, reference buffers) on the
   /// first data-parallel epoch. Defined in data_parallel.cc.
   Status EnsureDataParallel(const graph::Dataset& dataset);
+
+  /// ContrastiveLabels for W > 0: at a refresh boundary, swaps in the
+  /// background refresh launched one period earlier and launches the next
+  /// from the current weights, so labels lag one refresh period. Defined in
+  /// data_parallel.cc.
+  std::vector<int> PipelinedContrastiveLabels(
+      const graph::Dataset& dataset, const graph::OpenWorldSplit& split,
+      int epoch, int num_epochs);
+
+  /// Waits for a pipelined refresh still in flight (no-op without one). Its
+  /// outcome stays queued in dp_ and is swapped in, or checkpointed, exactly
+  /// as if it were still pending. Defined in data_parallel.cc.
+  void JoinRefresh();
 
   /// The refresh computation: eval-mode embeddings of `model`, row
   /// normalization, bias-reduced pseudo-label generation (warm-started from
@@ -358,7 +405,7 @@ class OpenImaModel {
 
   /// Applies a refresh outcome to the cached labels/centers and pushes the
   /// per-refresh stats — the bookkeeping half of a refresh, shared between
-  /// the synchronous serial path and the data-parallel swap.
+  /// the synchronous refresh and the pipelined swap.
   void ApplyRefreshOutcome(RefreshOutcome outcome,
                            const graph::Dataset& dataset,
                            const graph::OpenWorldSplit& split);

@@ -3,6 +3,9 @@
 
 #include <vector>
 
+#include "src/autograd/ops.h"
+#include "src/la/matrix.h"
+
 namespace openima::core {
 
 /// Builds the in-batch positive index sets P(i) for the paper's contrastive
@@ -19,6 +22,15 @@ namespace openima::core {
 /// excludes the anchor itself.
 std::vector<std::vector<int>> BuildPositiveSets(
     const std::vector<int>& batch_labels);
+
+/// For each node in `nodes`, finds its most cosine-similar other node in
+/// `nodes` (over rows of `normalized`, which must be L2-normalized) and
+/// emits a positive pair — the pseudo-positive pairing of ORCA, OpenLDN and
+/// OpenIMA's large-graph pairwise term. A node whose similarities are all
+/// non-finite (a NaN embedding row) gets no pair, so the result can be
+/// shorter than `nodes`, and empty.
+std::vector<autograd::ops::Pair> NearestNeighborPairs(
+    const la::Matrix& normalized, const std::vector<int>& nodes);
 
 }  // namespace openima::core
 

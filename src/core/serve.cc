@@ -58,6 +58,10 @@ StatusOr<std::unique_ptr<InferenceService>> InferenceService::Load(
   if (dataset == nullptr) {
     return Status::InvalidArgument("serve requires a dataset (graph+features)");
   }
+  if (options.sample_fanout < 0) {
+    return Status::InvalidArgument(StrFormat(
+        "serve sample_fanout must be >= 0, got %d", options.sample_fanout));
+  }
   auto reader_or = io::CheckpointReader::Open(checkpoint_path);
   if (!reader_or.ok()) return reader_or.status();
   const io::CheckpointReader& reader = *reader_or;

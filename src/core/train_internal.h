@@ -7,20 +7,10 @@
 #include "src/autograd/tape.h"
 #include "src/core/openima.h"
 #include "src/exec/replica.h"
-#include "src/graph/splits.h"
 #include "src/la/pool.h"
-#include "src/obs/telemetry.h"
 #include "src/util/thread_pool.h"
 
 namespace openima::core {
-
-/// Validation/test quality snapshot from the deterministic head argmax (no
-/// RNG draw, so recording it cannot perturb the training stream). Shared by
-/// the full-graph, sampled, and data-parallel epoch records. Defined in
-/// openima.cc.
-void FillQualitySnapshot(const std::vector<int>& preds,
-                         const graph::OpenWorldSplit& split,
-                         obs::EpochRecord* record);
 
 /// One persistent worker replica of the data-parallel trainer. Member order
 /// matters: the pool is declared first so it outlives the model parameters
@@ -59,10 +49,6 @@ struct OpenImaModel::DataParallelState {
   int active_snapshot_epoch = -1;  ///< snapshot epoch of the labels in use
   std::unique_ptr<ThreadPool> refresh_thread;  // one real thread; null = ref
   std::unique_ptr<TaskGroup> refresh_group;
-
-  // Scratch reused across rounds.
-  std::vector<la::Matrix*> reduce_grid;
-  std::vector<const la::Matrix*> reduced;
 };
 
 }  // namespace openima::core

@@ -53,10 +53,10 @@ struct EpochRecord {
   /// Pipelined-refresh provenance (data-parallel trainer only): the epoch
   /// whose weight snapshot produced the pseudo labels active this epoch.
   /// The background refresh computes on a snapshot one refresh period old,
-  /// so this lags `epoch`; the serial trainers refresh synchronously and
-  /// leave the -1 sentinel (field omitted from the JSON). Still
-  /// deterministic — the swap schedule is a pure function of the config,
-  /// never of thread timing.
+  /// so this lags `epoch`; the full-graph and W = 0 trainers refresh
+  /// synchronously and leave the -1 sentinel (field omitted from the JSON).
+  /// Still deterministic — the swap schedule is a pure function of the
+  /// config, never of thread timing.
   int refresh_snapshot_epoch = -1;
 
   // -------- validation quality (-1 = not available) ----------------------

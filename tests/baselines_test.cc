@@ -14,7 +14,6 @@
 #include "src/baselines/simgcd.h"
 #include "src/graph/splits.h"
 #include "src/graph/synthetic.h"
-#include "src/la/matrix_ops.h"
 #include "src/metrics/clustering_accuracy.h"
 
 namespace openima::baselines {
@@ -92,16 +91,6 @@ void CheckClassifier(core::OpenWorldClassifier* model, const Fixture& fx,
 // ---------------------------------------------------------------------------
 // Shared helpers
 // ---------------------------------------------------------------------------
-
-TEST(CommonTest, NearestNeighborPairsFindsMostSimilar) {
-  la::Matrix z({{1, 0}, {0.99f, 0.1f}, {0, 1}});
-  la::RowL2NormalizeInPlace(&z);
-  auto pairs = NearestNeighborPairs(z, {0, 1, 2});
-  ASSERT_EQ(pairs.size(), 3u);
-  EXPECT_EQ(pairs[0].j, 1);
-  EXPECT_EQ(pairs[1].j, 0);
-  EXPECT_EQ(pairs[0].target, 1.0f);
-}
 
 TEST(CommonTest, ShuffledBlocksPartitionRange) {
   Rng rng(1);

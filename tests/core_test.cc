@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
 
 #include "src/core/encoder_with_head.h"
@@ -8,6 +9,7 @@
 #include "src/core/positive_sets.h"
 #include "src/core/pseudo_labels.h"
 #include "src/graph/synthetic.h"
+#include "src/la/matrix_ops.h"
 #include "src/util/rng.h"
 
 namespace openima::core {
@@ -61,6 +63,31 @@ TEST(PositiveSetsTest, SymmetryOfPositivity) {
           << i << " -> " << j << " not symmetric";
     }
   }
+}
+
+TEST(PositiveSetsTest, NearestNeighborPairsFindsMostSimilar) {
+  la::Matrix z({{1, 0}, {0.99f, 0.1f}, {0, 1}});
+  la::RowL2NormalizeInPlace(&z);
+  auto pairs = NearestNeighborPairs(z, {0, 1, 2});
+  ASSERT_EQ(pairs.size(), 3u);
+  EXPECT_EQ(pairs[0].j, 1);
+  EXPECT_EQ(pairs[1].j, 0);
+  EXPECT_EQ(pairs[0].target, 1.0f);
+
+  // A NaN row has no finite similarity: it gets no pair and is never
+  // picked as a peer, and the finite rows keep their pairs.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  la::Matrix zn({{1, 0}, {0.99f, 0.1f}, {nan, nan}, {0, 1}});
+  la::RowL2NormalizeInPlace(&zn);
+  auto finite = NearestNeighborPairs(zn, {0, 1, 2, 3});
+  ASSERT_EQ(finite.size(), 3u);
+  EXPECT_EQ(finite[0].i, 0);
+  EXPECT_EQ(finite[0].j, 1);
+  EXPECT_EQ(finite[1].i, 1);
+  EXPECT_EQ(finite[1].j, 0);
+  EXPECT_EQ(finite[2].i, 3);
+  EXPECT_EQ(finite[2].j, 1);
+  EXPECT_TRUE(NearestNeighborPairs(zn, {2, 0}).empty());
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -12,7 +13,9 @@
 #include "src/la/backend/backend.h"
 #include "src/la/matrix.h"
 #include "src/obs/json.h"
+#include "src/obs/obs_config.h"
 #include "src/obs/telemetry.h"
+#include "src/obs/watchdog.h"
 
 /// Determinism contract of the data-parallel trainer (DESIGN.md §2.8):
 /// sharding each round of up to W consecutive sampled microbatches across W
@@ -28,9 +31,9 @@
 namespace openima {
 namespace {
 
-graph::Dataset MakeSbmDataset() {
+graph::Dataset MakeSbmDataset(int num_nodes = 160) {
   graph::SbmConfig sbm;
-  sbm.num_nodes = 160;
+  sbm.num_nodes = num_nodes;
   sbm.num_classes = 4;
   sbm.feature_dim = 12;
   sbm.avg_degree = 8.0;
@@ -184,9 +187,9 @@ TEST(DataParallelTest, DifferentWorkerCountsAreDifferentSchedules) {
 
 /// With pseudo-labeling off there is no pipelined refresh, and W=1 rounds
 /// are single microbatches with inv_round == 1 — the scaling op is skipped,
-/// so the autograd graph is byte-identical to the PR 7 serial sampled
-/// trainer's. All three paths (serial, threaded W=1, reference W=1) must
-/// agree to the bit, telemetry included.
+/// so the autograd graph is byte-identical to that of the W=0 rounds, which
+/// step the primary's own gradients. All three paths (W=0, threaded W=1,
+/// reference W=1) must agree to the bit, telemetry included.
 TEST(DataParallelTest, SingleWorkerMatchesSerialTrainerWithoutRefresh) {
   const graph::Dataset dataset = MakeSbmDataset();
   const graph::OpenWorldSplit split = MakeSplit(dataset);
@@ -305,6 +308,38 @@ TEST(DataParallelTest, PipelinedRefreshLagsByOnePeriod) {
   EXPECT_EQ(last_snapshot, 3) << "final swap carries the epoch-3 snapshot";
 }
 
+/// An error return must not leave the pipelined refresh running: its task
+/// reads the caller's dataset and split, which the caller may free as soon
+/// as Train() returns. Warmup 0 launches a refresh at epoch 0, and a 1e-12
+/// gradient-norm limit under the abort watchdog fails the first round's
+/// step while that refresh is still in flight: it embeds a 4000-node graph
+/// and runs 64 K-Means inits before it reads the split's training nodes,
+/// far longer than two 48-seed microbatches take. Freeing the dataset and
+/// the split before the model is then clean under ASan and TSan only if
+/// Train() joined the refresh.
+TEST(DataParallelTest, ErrorReturnJoinsPipelinedRefresh) {
+  if (!obs::kCompiledIn) GTEST_SKIP() << "the watchdog needs OPENIMA_OBS=ON";
+  auto dataset = std::make_unique<graph::Dataset>(MakeSbmDataset(4000));
+  auto split = std::make_unique<graph::OpenWorldSplit>(MakeSplit(*dataset));
+  core::OpenImaConfig config = DpConfig(*dataset, *split);
+  config.workers = 2;
+  config.pseudo_warmup_epochs = 0;
+  config.kmeans_num_init = 64;
+  auto model = std::make_unique<core::OpenImaModel>(
+      config, dataset->feature_dim(), 99);
+  obs::WatchdogOptions watchdog;
+  watchdog.policy = obs::WatchdogPolicy::kAbort;
+  watchdog.max_grad_norm = 1e-12;
+  obs::Watchdog::Configure(watchdog);
+  const Status trained = model->Train(*dataset, *split);
+  obs::Watchdog::ResetForTest();
+  EXPECT_FALSE(trained.ok());
+  EXPECT_EQ(model->epochs_done(), 0);
+  split.reset();
+  dataset.reset();
+  model.reset();
+}
+
 // ---------------------------------------------------------------------------
 // Config validation.
 // ---------------------------------------------------------------------------
@@ -316,6 +351,22 @@ TEST(DataParallelTest, RejectsNegativeWorkerCount) {
   config.workers = -2;
   core::OpenImaModel model(config, dataset.feature_dim(), 99);
   EXPECT_FALSE(model.Train(dataset, split).ok());
+}
+
+/// A negative fanout is a bad config, not a sampler CHECK: Train rejects it
+/// before it builds the primary's sampler or any replica's.
+TEST(DataParallelTest, RejectsNegativeSampleFanout) {
+  const graph::Dataset dataset = MakeSbmDataset();
+  const graph::OpenWorldSplit split = MakeSplit(dataset);
+  for (int workers : {0, 2}) {
+    core::OpenImaConfig config = DpConfig(dataset, split);
+    config.workers = workers;
+    config.sample_fanout = -1;
+    core::OpenImaModel model(config, dataset.feature_dim(), 99);
+    EXPECT_EQ(model.Train(dataset, split).code(),
+              StatusCode::kInvalidArgument)
+        << "W=" << workers;
+  }
 }
 
 TEST(DataParallelTest, RejectsWorkersWithoutSampledTraining) {

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -13,6 +14,18 @@
 #include "src/la/matrix_ops.h"
 #include "src/util/rng.h"
 #include "src/util/string_util.h"
+
+namespace openima::la::backend {
+
+/// gtest prints a pointer parameter as its address, which ASLR moves on
+/// every run, and gtest_discover_tests copies that printout into the ctest
+/// names of the BackendSuite cases. Printing the backend's name instead
+/// keeps those names the same from one build to the next.
+void PrintTo(const KernelBackend* backend, std::ostream* os) {
+  *os << backend->name();
+}
+
+}  // namespace openima::la::backend
 
 namespace openima::la {
 namespace {

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "src/core/openima.h"
@@ -12,6 +13,8 @@
 #include "src/graph/synthetic.h"
 #include "src/la/matrix.h"
 #include "src/metrics/clustering_accuracy.h"
+#include "src/obs/obs_config.h"
+#include "src/obs/watchdog.h"
 
 /// The neighbor sampler promises a block that is a pure function of
 /// (graph, seed, fanout, num_layers, seeds, tag) — bit-identical across
@@ -321,6 +324,40 @@ TEST(SampledPipelineTest, SampledOpenImaIsMemoryPoolInvariant) {
       << "sampled-training embeddings differ between pooled and heap";
   EXPECT_EQ(pooled.predictions, heap.predictions);
   EXPECT_EQ(pooled.epoch_losses, heap.epoch_losses);
+}
+
+/// A NaN feature row spreads through attention to part of the graph. The
+/// large-graph pairwise term must then skip the rows whose peer
+/// similarities are all NaN — a -1 peer index fails PairwiseDotBce's
+/// CHECK — so training returns, and under the abort watchdog it returns
+/// the non-finite loss as a Status. The full-graph trainer's peer search
+/// gets the same input.
+TEST(SampledPipelineTest, NanFeatureRowReturnsStatusInsteadOfAborting) {
+  if (!obs::kCompiledIn) GTEST_SKIP() << "the watchdog needs OPENIMA_OBS=ON";
+  graph::Dataset dataset = MakeSbmDataset();
+  dataset.features.Row(5)[0] = std::numeric_limits<float>::quiet_NaN();
+  graph::SplitOptions so;
+  so.labeled_per_class = 10;
+  so.val_per_class = 5;
+  auto split = graph::MakeOpenWorldSplit(dataset, so, 4);
+  ASSERT_TRUE(split.ok());
+  for (bool sampled : {true, false}) {
+    core::OpenImaConfig config = SampledConfig(dataset, *split);
+    config.sampled_training = sampled;
+    config.large_graph_mode = true;
+    {
+      // Without the watchdog the run trains on NaN, but it must return.
+      core::OpenImaModel model(config, dataset.feature_dim(), 99);
+      (void)model.Train(dataset, *split);
+    }
+    obs::WatchdogOptions watchdog;
+    watchdog.policy = obs::WatchdogPolicy::kAbort;
+    obs::Watchdog::Configure(watchdog);
+    core::OpenImaModel model(config, dataset.feature_dim(), 99);
+    const Status trained = model.Train(dataset, *split);
+    obs::Watchdog::ResetForTest();
+    EXPECT_FALSE(trained.ok()) << (sampled ? "sampled" : "full graph");
+  }
 }
 
 }  // namespace

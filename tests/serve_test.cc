@@ -2,7 +2,7 @@
 // checkpoint, the classify contract (batched == one-by-one, deterministic
 // across sessions and tags with exhaustive fanout, LUT consistency with the
 // checkpointed alignment), and the load-time rejection paths (no centers
-// yet, wrong feature dimension, missing file).
+// yet, wrong feature dimension, missing file, negative fanout).
 
 #include <gtest/gtest.h>
 
@@ -229,6 +229,16 @@ TEST(ServeTest, LoadRejectsFeatureDimMismatchAndMissingFile) {
                                               &fx.dataset,
                                               core::ServeOptions{});
   EXPECT_FALSE(missing.ok());
+}
+
+TEST(ServeTest, LoadRejectsNegativeFanout) {
+  Fixture fx = SmallProblem();
+  const std::string path = TrainAndSave(fx, "serve_fanout.ckpt", 5);
+  core::ServeOptions options;
+  options.sample_fanout = -2;
+  auto service = core::InferenceService::Load(path, &fx.dataset, options);
+  ASSERT_FALSE(service.ok());
+  EXPECT_EQ(service.status().code(), StatusCode::kInvalidArgument);
 }
 
 // --------------------------------------- live observability on serve --
