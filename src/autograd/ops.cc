@@ -2,10 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <utility>
+#include <vector>
 
+#include "src/exec/context.h"
 #include "src/la/backend/backend.h"
 #include "src/la/matrix_ops.h"
+#include "src/la/pool.h"
 #include "src/util/logging.h"
 
 namespace openima::autograd::ops {
@@ -423,6 +428,286 @@ Variable SoftCrossEntropy(const Variable& logits,
                 });
 }
 
+namespace {
+
+// ---------------------------------------------------------------------------
+// Streamed SupCon core (SupConLoss, NormalizedSupCon)
+// ---------------------------------------------------------------------------
+
+/// Rows per tile: a tile of s = Z Z^T / tau holds kSupConTileRows full rows,
+/// 512 KiB at b = 4096.
+constexpr int kSupConTileRows = 32;
+
+/// The tiles run in at most this many fixed chunks, each with its own
+/// scratch, so neither the layout nor the scratch depends on the thread
+/// count.
+constexpr int64_t kSupConMaxChunks = 8;
+
+/// Lane width of the backends' ExpShifted vector body. An exponent's bits
+/// depend on where it sits in its row: in a row of n, positions below
+/// n - n % kExpLanes take the vector path and the rest the scalar tail
+/// (backend_avx2.cc; the scalar backend evaluates every position alike).
+constexpr int64_t kExpLanes = 8;
+
+/// out[k] = exp(in[k] - shift) for k in [0, n), every element evaluated on
+/// one ExpShifted path wherever it sits: the vector path runs whole lane
+/// groups (the ragged end padded to one), the tail path runs groups shorter
+/// than one. `out` may alias `in`.
+void ExpOnPath(const la::backend::KernelBackend& be, const float* in,
+               float shift, float* out, int64_t n, bool vector_path) {
+  if (!vector_path) {
+    for (int64_t k = 0; k < n; k += kExpLanes - 1) {
+      be.ExpShifted(in + k, shift, out + k, std::min(kExpLanes - 1, n - k));
+    }
+    return;
+  }
+  const int64_t body = n - n % kExpLanes;
+  if (body > 0) be.ExpShifted(in, shift, out, body);
+  if (body == n) return;
+  float pad[kExpLanes] = {};
+  std::copy(in + body, in + n, pad);
+  be.ExpShifted(pad, shift, pad, kExpLanes);
+  std::copy(pad, pad + (n - body), out + body);
+}
+
+/// Positive sets in compressed rows. Row i holds anchor i's positives
+/// sorted ascending, duplicates kept: the backward's gradient terms do not
+/// depend on their order, and sorted rows let it find the anchors that list
+/// a tile's rows with one cursor per anchor.
+struct PositiveRows {
+  std::vector<int64_t> offset;
+  std::vector<int> index;
+
+  const int* begin(int i) const { return index.data() + offset[i]; }
+  const int* end(int i) const { return index.data() + offset[i + 1]; }
+  int64_t size(int i) const { return offset[i + 1] - offset[i]; }
+};
+
+/// Checks the positive sets of a b-row block and sorts a copy of them.
+PositiveRows SortedPositives(const std::vector<std::vector<int>>& positives) {
+  const int b = static_cast<int>(positives.size());
+  PositiveRows rows;
+  size_t total = 0;
+  for (const auto& pos : positives) total += pos.size();
+  rows.offset.reserve(positives.size() + 1);
+  rows.index.reserve(total);
+  rows.offset.push_back(0);
+  for (int i = 0; i < b; ++i) {
+    const auto& pos = positives[static_cast<size_t>(i)];
+    OPENIMA_CHECK(!pos.empty()) << "anchor " << i << " has no positives";
+    for (int j : pos) {
+      OPENIMA_CHECK_NE(j, i);
+      OPENIMA_CHECK_GE(j, 0);
+      OPENIMA_CHECK_LT(j, b);
+    }
+    const auto row =
+        rows.index.insert(rows.index.end(), pos.begin(), pos.end());
+    if (!std::is_sorted(row, rows.index.end())) {
+      std::sort(row, rows.index.end());
+    }
+    rows.offset.push_back(static_cast<int64_t>(rows.index.size()));
+  }
+  return rows;
+}
+
+/// The SupCon loss of Eq. 7/8 streamed over row tiles of s = Z Z^T / tau,
+/// shifted by 1/tau (NormalizedSupCon) or by each row's max over k != i
+/// (SupConLoss). It keeps Z^T, the positives, each row's float
+/// 1/denominator and, in row-max mode, each row's shift — nothing of size
+/// b^2. The backward recomputes every tile.
+///
+/// Each float is the one the materialised b x b algorithm produced:
+///   - a tile row is that matrix's row: GemmRowRange is partition-invariant
+///     and the tile is scaled by the same 1/tau;
+///   - the backward needs rows I of G + G^T and reads the column block
+///     G[:, I] off the same row tile, because s is bitwise symmetric (s_ik
+///     and s_ki are one ascending multiply-add chain with the factors of
+///     each product swapped);
+///   - G_ki needs e_ki, the exponent row k took at position i. With one
+///     shift it equals e_ik wherever i and k take the same ExpShifted path,
+///     so only the entries whose paths differ are re-evaluated; with
+///     per-row shifts the whole column is, from exactly the difference
+///     s_ki - m_k that row k exponentiated.
+class StreamedSupCon {
+ public:
+  StreamedSupCon(float tau, bool row_max_shift, const exec::Context* ctx)
+      : tau_(tau), inv_tau_(1.0f / tau), row_max_shift_(row_max_shift),
+        ctx_(ctx) {}
+
+  /// Returns the loss over the rows of `z` and keeps what the backward
+  /// needs. The loss reads `positives` in the caller's order.
+  float Forward(const la::Matrix& z,
+                const std::vector<std::vector<int>>& positives) {
+    const int b = z.rows();
+    const la::backend::KernelBackend& be = la::backend::Resolve(ctx_);
+    positives_ = SortedPositives(positives);
+    zt_ = la::Transpose(z, ctx_);
+    inv_denom_ = la::Matrix(b, 1);
+    if (row_max_shift_) shift_ = la::Matrix(b, 1);
+    std::vector<double> row_loss(static_cast<size_t>(b));
+    ForEachChunk(b, b, [&](int64_t t0, int64_t t1, float* tile, float* erow) {
+      for (int64_t t = t0; t < t1; ++t) {
+        const auto [i0, i1] = ComputeTile(z, t, tile);
+        for (int i = i0; i < i1; ++i) {
+          float* srow = tile + int64_t{i - i0} * b;
+          float shift = inv_tau_;
+          if (row_max_shift_) {
+            // The stability anchor must be a k != i term — if the
+            // self-similarity won the max, all other exponents could
+            // underflow and zero the denominator. Park -inf on the
+            // diagonal just for the max pass.
+            const float self_sim = srow[i];
+            srow[i] = -std::numeric_limits<float>::infinity();
+            shift = be.RowMax(srow, b);
+            srow[i] = self_sim;
+            shift_(i, 0) = shift;
+          }
+          be.ExpShifted(srow, shift, erow, b);
+          const double denom = be.RowSum(erow, b) - erow[i];
+          inv_denom_(i, 0) = static_cast<float>(1.0 / denom);
+          const double log_denom = std::log(denom) + shift;
+          const auto& pos = positives[static_cast<size_t>(i)];
+          double li = 0.0;
+          for (int j : pos) li -= srow[j] - log_denom;
+          row_loss[static_cast<size_t>(i)] =
+              li / static_cast<double>(pos.size());
+        }
+      }
+    });
+    double loss = 0.0;
+    for (double li : row_loss) loss += li;
+    return static_cast<float>(loss / b);
+  }
+
+  /// dz += (G + G^T) Z for the loss gradient `grad`, with
+  /// G_ik = dL/ds_ik = grad (p_ik - y_ik) / (b tau) for k != i: each tile's
+  /// rows are multiplied straight into dz with the backend GEMM.
+  void Backward(const la::Matrix& z, float grad, la::Matrix* dz) const {
+    const int b = z.rows(), d = z.cols();
+    OPENIMA_CHECK_EQ(dz->rows(), b);
+    OPENIMA_CHECK_EQ(dz->cols(), d);
+    const la::backend::KernelBackend& be = la::backend::Resolve(ctx_);
+    std::vector<float> y(static_cast<size_t>(b));  // 1 / |P(i)|
+    for (int i = 0; i < b; ++i) {
+      y[static_cast<size_t>(i)] =
+          1.0f / static_cast<float>(positives_.size(i));
+    }
+    const float gscale = grad / (static_cast<float>(b) * tau_);
+    const float* inv = inv_denom_.data();
+    const int64_t body = b - b % kExpLanes;  // vector-path positions
+    const int64_t tile_floats = int64_t{kSupConTileRows} * b;
+    // Per tile: the rows G[I, :] in place of s and the columns G[:, I], as
+    // rows, in scratch; then their sum, multiplied into dz. cursor[k] walks
+    // anchor k's sorted positives through the tiles' rows.
+    ForEachChunk(b, tile_floats + b, [&](int64_t t0, int64_t t1, float* tile,
+                                         float* scratch) {
+      float* gcols = scratch;
+      float* erow = scratch + tile_floats;
+      std::vector<int64_t> cursor(static_cast<size_t>(b));
+      for (int k = 0; k < b; ++k) {
+        cursor[k] = std::lower_bound(positives_.begin(k), positives_.end(k),
+                                     t0 * kSupConTileRows) -
+                    positives_.index.data();
+      }
+      for (int64_t t = t0; t < t1; ++t) {
+        const auto [i0, i1] = ComputeTile(z, t, tile);
+        for (int i = i0; i < i1; ++i) {
+          float* srow = tile + int64_t{i - i0} * b;
+          float* gcol = gcols + int64_t{i - i0} * b;
+          const bool vector_i = i < body;
+          if (!row_max_shift_) {
+            be.ExpShifted(srow, inv_tau_, erow, b);
+            for (int k = 0; k < b; ++k) gcol[k] = erow[k] * inv[k];
+            const int64_t lo = vector_i ? body : 0;
+            const int64_t hi = vector_i ? b : body;
+            ExpOnPath(be, srow + lo, inv_tau_, gcol + lo, hi - lo, vector_i);
+            for (int64_t k = lo; k < hi; ++k) gcol[k] *= inv[k];
+          } else {
+            const float* shift = shift_.data();
+            be.ExpShifted(srow, shift[i], erow, b);
+            for (int k = 0; k < b; ++k) gcol[k] = srow[k] - shift[k];
+            ExpOnPath(be, gcol, 0.0f, gcol, b, vector_i);
+            for (int k = 0; k < b; ++k) gcol[k] *= inv[k];
+          }
+          const float inv_i = inv[i];
+          for (int k = 0; k < b; ++k) srow[k] = erow[k] * inv_i;
+          srow[i] = 0.0f * inv_i;
+          gcol[i] = srow[i];
+          for (const int* j = positives_.begin(i); j != positives_.end(i);
+               ++j) {
+            srow[*j] -= y[static_cast<size_t>(i)];
+          }
+        }
+        for (int k = 0; k < b; ++k) {
+          const int* j = positives_.index.data() + cursor[k];
+          for (; j != positives_.end(k) && *j < i1; ++j) {
+            gcols[int64_t{*j - i0} * b + k] -= y[static_cast<size_t>(k)];
+          }
+          cursor[k] = j - positives_.index.data();
+        }
+        for (int64_t e = 0; e < int64_t{i1 - i0} * b; ++e) {
+          tile[e] = gcols[e] * gscale + tile[e] * gscale;
+        }
+        be.GemmRowRange(tile, b, z.data(), d, 1.0f, dz->Row(i0), d, 0,
+                        i1 - i0, b, d);
+      }
+    });
+  }
+
+ private:
+  /// Runs fn(t0, t1, tile, scratch) for each fixed chunk [t0, t1) of the b
+  /// rows' tiles, under ParallelForChunks. Each chunk gets one tile's worth
+  /// of floats and `scratch_floats` more, drawn from the caller's pool
+  /// before the loop.
+  template <typename ChunkFn>
+  void ForEachChunk(int b, int64_t scratch_floats, const ChunkFn& fn) const {
+    const int64_t tiles = (b + kSupConTileRows - 1) / kSupConTileRows;
+    const int64_t grain =
+        exec::Context::GrainForMaxChunks(tiles, 1, kSupConMaxChunks);
+    const int64_t chunks = exec::Context::NumChunks(tiles, grain);
+    std::vector<la::PoolBuffer> tile_buf, scratch_buf;
+    tile_buf.reserve(static_cast<size_t>(chunks));
+    scratch_buf.reserve(static_cast<size_t>(chunks));
+    for (int64_t c = 0; c < chunks; ++c) {
+      tile_buf.emplace_back(int64_t{std::min(b, kSupConTileRows)} * b, ctx_);
+      scratch_buf.emplace_back(scratch_floats, ctx_);
+    }
+    exec::Get(ctx_).ParallelForChunks(
+        tiles, grain, [&](int64_t c, int64_t t0, int64_t t1) {
+          const size_t chunk = static_cast<size_t>(c);
+          fn(t0, t1, tile_buf[chunk].data(), scratch_buf[chunk].data());
+        });
+  }
+
+  /// Writes rows [i0, i1) of s = Z Z^T / tau — tile t — into `tile` at
+  /// stride b, with the untiled MatmulNT's GEMM chain and scaling, and
+  /// returns [i0, i1).
+  std::pair<int, int> ComputeTile(const la::Matrix& z, int64_t t,
+                                  float* tile) const {
+    const int b = z.rows(), d = z.cols();
+    const int i0 = static_cast<int>(t) * kSupConTileRows;
+    const int i1 = std::min(b, i0 + kSupConTileRows);
+    const int64_t n = int64_t{i1 - i0} * b;
+    std::fill(tile, tile + n, 0.0f);
+    la::backend::Resolve(ctx_).GemmRowRange(z.Row(i0), d, zt_.data(), b, 1.0f,
+                                            tile, b, 0, i1 - i0, d, b);
+    for (int64_t e = 0; e < n; ++e) tile[e] *= inv_tau_;
+    return {i0, i1};
+  }
+
+  float tau_;
+  float inv_tau_;
+  bool row_max_shift_;
+  const exec::Context* ctx_;
+  // Kept by Forward for the backward.
+  la::Matrix zt_;
+  PositiveRows positives_;
+  la::Matrix inv_denom_;  // b x 1: float(1 / denominator) per row
+  la::Matrix shift_;      // b x 1 per-row max shifts (row-max mode only)
+};
+
+}  // namespace
+
 Variable SupConLoss(const Variable& z,
                     const std::vector<std::vector<int>>& positives, float tau,
                     const exec::Context* ctx) {
@@ -430,67 +715,17 @@ Variable SupConLoss(const Variable& z,
   OPENIMA_CHECK_GT(b, 1);
   OPENIMA_CHECK_EQ(static_cast<int>(positives.size()), b);
   OPENIMA_CHECK_GT(tau, 0.0f);
-  const la::backend::KernelBackend& be = la::backend::Resolve(ctx);
-
-  // Similarity logits s = Z Z^T / tau.
-  la::Matrix s = la::MatmulNT(z.value(), z.value(), ctx);
-  s *= 1.0f / tau;
-
-  // Row-stable softmax over k != i.
-  la::Matrix p(b, b);  // p_ik = exp(s_ik) / sum_{k' != i} exp(s_ik')
-  double loss = 0.0;
-  for (int i = 0; i < b; ++i) {
-    float* srow = s.Row(i);
-    // The stability anchor must be a k != i term — if the self-similarity
-    // won the max, all other exponents could underflow and zero the
-    // denominator. Park -inf on the diagonal just for the max pass.
-    const float self_sim = srow[i];
-    srow[i] = -std::numeric_limits<float>::infinity();
-    const float mx = be.RowMax(srow, b);
-    srow[i] = self_sim;
-    float* prow = p.Row(i);
-    be.ExpShifted(srow, mx, prow, b);
-    double denom = be.RowSum(prow, b) - prow[i];
-    prow[i] = 0.0f;
-    const float inv = static_cast<float>(1.0 / denom);
-    for (int k = 0; k < b; ++k) prow[k] *= inv;
-    const double log_denom = std::log(denom) + mx;
-
-    const auto& pos = positives[static_cast<size_t>(i)];
-    OPENIMA_CHECK(!pos.empty()) << "anchor " << i << " has no positives";
-    double li = 0.0;
-    for (int j : pos) {
-      OPENIMA_CHECK_NE(j, i);
-      OPENIMA_CHECK_GE(j, 0);
-      OPENIMA_CHECK_LT(j, b);
-      li -= srow[j] - log_denom;
-    }
-    loss += li / static_cast<double>(pos.size());
-  }
+  // Row-stable softmax over k != i, shifted by each row's max.
+  StreamedSupCon core(tau, /*row_max_shift=*/true, ctx);
   la::Matrix out(1, 1);
-  out(0, 0) = static_cast<float>(loss / b);
-
-  return MakeOp(
-      "supcon", std::move(out), {z},
-      [positives, tau, p = std::move(p)](Node* nd) {
-        if (!NeedsGrad(nd, 0)) return;
-        const int b = p.rows();
-        const la::Matrix& zv = InVal(nd, 0);
-        // G_ik = dL/ds_ik = (p_ik - y_ik) / b  for k != i.
-        la::Matrix gmat = p;
-        for (int i = 0; i < b; ++i) {
-          const auto& pos = positives[static_cast<size_t>(i)];
-          const float y = 1.0f / static_cast<float>(pos.size());
-          float* grow = gmat.Row(i);
-          for (int j : pos) grow[j] -= y;
-        }
-        la::ScaleInPlace(nd->grad(0, 0) / (static_cast<float>(b) * tau),
-                         &gmat);
-        // dZ = (G + G^T) Z, accumulated straight into the input grad.
-        la::Matrix sym = la::Transpose(gmat);
-        la::AddInPlace(gmat, &sym);
-        la::MatmulAccumulate(sym, zv, 1.0f, &InGrad(nd, 0));
-      });
+  out(0, 0) = core.Forward(z.value(), positives);
+  return MakeOp("supcon", std::move(out), {z},
+                [core = std::move(core)](Node* nd) {
+                  if (!NeedsGrad(nd, 0)) return;
+                  // dZ = (G + G^T) Z, accumulated straight into the input
+                  // grad.
+                  core.Backward(InVal(nd, 0), nd->grad(0, 0), &InGrad(nd, 0));
+                });
 }
 
 Variable NormalizedSupCon(const Variable& x,
@@ -500,68 +735,28 @@ Variable NormalizedSupCon(const Variable& x,
   OPENIMA_CHECK_GT(b, 1);
   OPENIMA_CHECK_EQ(static_cast<int>(positives.size()), b);
   OPENIMA_CHECK_GT(tau, 0.0f);
-  const la::backend::KernelBackend& be = la::backend::Resolve(ctx);
 
   la::Matrix z = x.value();
-  la::Matrix norms = la::RowL2NormalizeInPlace(&z, eps);
-
-  // Similarity logits s = Z Z^T / tau on the normalized rows.
-  la::Matrix s = la::MatmulNT(z, z, ctx);
-  s *= 1.0f / tau;
-
-  la::Matrix p(b, b);  // p_ik = exp(s_ik) / sum_{k' != i} exp(s_ik')
-  double loss = 0.0;
+  la::Matrix norms = la::RowL2NormalizeInPlace(&z, eps, ctx);
   // Rows are unit-normalized, so s_ik lies in [-1/tau, 1/tau]: shifting by
   // the upper bound keeps every exponent in [-2/tau, 0] — numerically
   // stable with no per-row max pass at all.
-  const float shift = 1.0f / tau;
-  for (int i = 0; i < b; ++i) {
-    const float* srow = s.Row(i);
-    float* prow = p.Row(i);
-    be.ExpShifted(srow, shift, prow, b);
-    double denom = be.RowSum(prow, b) - prow[i];
-    prow[i] = 0.0f;
-    const float inv = static_cast<float>(1.0 / denom);
-    for (int k = 0; k < b; ++k) prow[k] *= inv;
-    const double log_denom = std::log(denom) + shift;
-
-    const auto& pos = positives[static_cast<size_t>(i)];
-    OPENIMA_CHECK(!pos.empty()) << "anchor " << i << " has no positives";
-    double li = 0.0;
-    for (int j : pos) {
-      OPENIMA_CHECK_NE(j, i);
-      OPENIMA_CHECK_GE(j, 0);
-      OPENIMA_CHECK_LT(j, b);
-      li -= srow[j] - log_denom;
-    }
-    loss += li / static_cast<double>(pos.size());
-  }
+  StreamedSupCon core(tau, /*row_max_shift=*/false, ctx);
   la::Matrix out(1, 1);
-  out(0, 0) = static_cast<float>(loss / b);
+  out(0, 0) = core.Forward(z, positives);
 
   return MakeOp(
       "normalized_supcon", std::move(out), {x},
-      [positives, tau, eps, z = std::move(z), norms = std::move(norms),
-       p = std::move(p)](Node* nd) {
+      [core = std::move(core), eps, z = std::move(z),
+       norms = std::move(norms)](Node* nd) {
         if (!NeedsGrad(nd, 0)) return;
-        const int b = p.rows();
-        // dL/dZ = (G + G^T) Z with G_ik = dL/ds_ik, as in SupConLoss.
-        la::Matrix gmat = p;
-        for (int i = 0; i < b; ++i) {
-          const auto& pos = positives[static_cast<size_t>(i)];
-          const float y = 1.0f / static_cast<float>(pos.size());
-          float* grow = gmat.Row(i);
-          for (int j : pos) grow[j] -= y;
-        }
-        la::ScaleInPlace(nd->grad(0, 0) / (static_cast<float>(b) * tau),
-                         &gmat);
-        la::Matrix sym = la::Transpose(gmat);
-        la::AddInPlace(gmat, &sym);
-        la::Matrix dz = la::Matmul(sym, z);
+        // dL/dZ = (G + G^T) Z on the normalized rows, as in SupConLoss.
+        la::Matrix dz(z.rows(), z.cols());
+        core.Backward(z, nd->grad(0, 0), &dz);
         // Project through the row-normalize Jacobian:
         // dx = (dz - (dz . zhat) zhat) / ||x||; degenerate rows pass through.
         la::Matrix& dx = InGrad(nd, 0);
-        for (int i = 0; i < b; ++i) {
+        for (int i = 0; i < z.rows(); ++i) {
           const float norm = norms(i, 0);
           const float* g = dz.Row(i);
           float* d = dx.Row(i);

@@ -108,6 +108,12 @@ Variable SoftCrossEntropy(const Variable& logits,
 /// least one positive for every anchor). With |P(i)| == 1 for all i this is
 /// exactly InfoNCE; with label-based positives it is SupCon; with pseudo
 /// labels it is the paper's BPCL.
+///
+/// Streamed: the forward and the backward walk s in row tiles, so time
+/// stays O(B^2 d) but memory is O(B d) — no B x B matrix is ever held, and
+/// the backward recomputes each tile. The results are bit-identical to
+/// materialising s (DESIGN.md §2.2). `ctx` runs both passes (threads,
+/// scratch pool, kernel backend) and must outlive the backward.
 Variable SupConLoss(const Variable& z,
                     const std::vector<std::vector<int>>& positives, float tau,
                     const exec::Context* ctx = nullptr);
@@ -117,7 +123,9 @@ Variable SupConLoss(const Variable& z,
 /// Skips the intermediate normalize node and its stored copy; the backward
 /// computes d(loss)/d(normalized) analytically and projects it through the
 /// normalization Jacobian (I - z z^T) / ||x|| per row. Rows with norm <= eps
-/// pass gradients through untouched, matching RowL2Normalize.
+/// pass gradients through untouched, matching RowL2Normalize. Streamed like
+/// SupConLoss; the softmax shifts by the bound 1/tau instead of each row's
+/// max.
 Variable NormalizedSupCon(const Variable& x,
                           const std::vector<std::vector<int>>& positives,
                           float tau, float eps = 1e-12f,

@@ -324,6 +324,9 @@ Status OpenImaModel::TrainEpochs(const graph::Dataset& dataset,
   if (config_.sampled_training && config_.sample_fanout < 0) {
     return Status::InvalidArgument("sample_fanout must be >= 0");
   }
+  if (!std::isfinite(config_.tau) || config_.tau <= 0.0f) {
+    return Status::InvalidArgument("tau must be finite and > 0");
+  }
   const int n = dataset.num_nodes();
   const int nb = std::max(2, std::min(config_.batch_size, n));
 

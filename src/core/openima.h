@@ -32,7 +32,7 @@ struct OpenImaConfig {
 
   // §VII hyper-parameters.
   float eta = 1.0f;              ///< CE scaling factor
-  float tau = 0.7f;              ///< contrastive temperature
+  float tau = 0.7f;              ///< contrastive temperature (finite, > 0)
   double rho_pct = 75.0;         ///< pseudo-label selection rate (%)
   float lr = 1e-3f;
   float weight_decay = 1e-4f;

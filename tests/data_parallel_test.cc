@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -366,6 +367,34 @@ TEST(DataParallelTest, RejectsNegativeSampleFanout) {
     EXPECT_EQ(model.Train(dataset, split).code(),
               StatusCode::kInvalidArgument)
         << "W=" << workers;
+  }
+}
+
+/// A zero, negative or non-finite temperature is a bad config, not the
+/// SupCon op's CHECK: Train rejects it, on the full-graph trainer and for
+/// every worker count, before it builds a sampler or a replica.
+TEST(DataParallelTest, RejectsBadTau) {
+  const graph::Dataset dataset = MakeSbmDataset();
+  const graph::OpenWorldSplit split = MakeSplit(dataset);
+  struct Trainer {
+    const char* name;
+    bool sampled;
+    int workers;
+  };
+  for (float tau : {0.0f, -0.5f, std::numeric_limits<float>::quiet_NaN(),
+                    std::numeric_limits<float>::infinity()}) {
+    for (const Trainer& trainer : {Trainer{"full graph", false, 0},
+                                   Trainer{"sampled W=0", true, 0},
+                                   Trainer{"sampled W=2", true, 2}}) {
+      core::OpenImaConfig config = DpConfig(dataset, split);
+      config.sampled_training = trainer.sampled;
+      config.workers = trainer.workers;
+      config.tau = tau;
+      core::OpenImaModel model(config, dataset.feature_dim(), 99);
+      EXPECT_EQ(model.Train(dataset, split).code(),
+                StatusCode::kInvalidArgument)
+          << trainer.name << ", tau=" << tau;
+    }
   }
 }
 
