@@ -16,7 +16,6 @@
 //   ./quickstart --telemetry=run.jsonl    # per-epoch training time-series
 //   ./quickstart --watchdog=abort         # NaN/Inf + norm-explosion guard
 //   ./quickstart --bench-json=BENCH_train.json  # e2e training benchmark
-//   ./quickstart --report-buckets         # histogram buckets in the report
 //   ./quickstart --obs-smoke              # CI check: report round-trips
 //   ./quickstart --backend=scalar         # pin the kernel backend
 //                                         # (auto|scalar|avx2; exit 77 when
@@ -322,8 +321,7 @@ int main(int argc, char** argv) {
   report.Set("run", "acc_novel", Value::Double(acc->novel));
   report.Section("train")->Set("openima",
                                core::TrainStatsJson(model.train_stats()));
-  report.AddMetrics(obs::MetricsRegistry::Global()->Snapshot(),
-                    flags.GetBool("report-buckets", false));
+  report.AddMetrics(obs::MetricsRegistry::Global()->Snapshot());
   report.AddPhaseBreakdown();
 
   if (!report_path.empty()) {
@@ -427,6 +425,15 @@ int main(int argc, char** argv) {
     obs::StopMetricsExporter();
     std::printf("wrote metrics snapshot to %s (+ .prom)\n",
                 metrics_export.c_str());
+  }
+  if (!trace_path.empty()) {
+    // Written here rather than by the exit hook, so a trace that cannot be
+    // written fails the run like --report and --telemetry do.
+    if (Status s = obs::StopTracing(); !s.ok()) {
+      std::fprintf(stderr, "trace: %s\n", s.ToString().c_str());
+      return 1;
+    }
+    std::printf("wrote trace to %s\n", trace_path.c_str());
   }
   return 0;
 }

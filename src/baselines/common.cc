@@ -104,6 +104,7 @@ StatusOr<std::vector<int>> ClusterDetectedOod(
 Status FinishEpochTelemetry(const char* trainer, int epoch, double loss,
                             const std::vector<autograd::Variable>& parameters,
                             int64_t watchdog_events_before) {
+  obs::CountEpoch();
   OPENIMA_RETURN_IF_ERROR(obs::Watchdog::ConsumeStatus());
   if (!obs::TelemetryEnabled()) return Status::OK();
   obs::EpochRecord record;

@@ -52,12 +52,12 @@ StatusOr<std::vector<int>> ClusterDetectedOod(
 
 /// Per-epoch telemetry + numeric-health epilogue shared by every baseline
 /// trainer. Call right after `optimizer->Step()` with the epoch's total
-/// loss and the model parameters: surfaces a numeric-watchdog trip (kAbort
-/// policy) as an error Status, and — while a telemetry sink is active —
-/// appends an EpochRecord with the loss and global/per-parameter gradient
-/// L2 norms. `watchdog_events_before` is obs::Watchdog::events() sampled
-/// before the backward pass (0 is fine when the watchdog is off). No-op
-/// when neither telemetry nor the watchdog is active; compiled to nothing
+/// loss and the model parameters: counts the epoch (obs::CountEpoch),
+/// surfaces a numeric-watchdog trip (kAbort policy) as an error Status,
+/// and — while a telemetry sink is active — appends an EpochRecord with
+/// the loss and global/per-parameter gradient L2 norms.
+/// `watchdog_events_before` is obs::Watchdog::events() sampled before the
+/// backward pass (0 is fine when the watchdog is off). Compiled to nothing
 /// under OPENIMA_OBS=OFF.
 Status FinishEpochTelemetry(const char* trainer, int epoch, double loss,
                             const std::vector<autograd::Variable>& parameters,

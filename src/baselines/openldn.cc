@@ -41,7 +41,6 @@ Status OpenLdnClassifier::Train(const graph::Dataset& dataset,
 
   for (int epoch = 0; epoch < config_.epochs; ++epoch) {
     OPENIMA_OBS_PHASE("epoch");
-    OPENIMA_OBS_COUNT("train.epochs", 1);
     // The previous iteration's graph is freed by now; recycle it.
     arena_.EndEpoch();
     la::Matrix pair_emb = model_->EvalEmbeddings(dataset);

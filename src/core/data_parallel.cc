@@ -438,8 +438,8 @@ Status OpenImaModel::TrainOneEpochRounds(
   }
   // Windowed training throughput for the live exporter: microbatches and
   // optimizer rounds land in the current epoch's tick.
-  OPENIMA_OBS_ROLLING_COUNT("train.microbatches", sums.terms);
-  OPENIMA_OBS_ROLLING_COUNT("train.rounds", sums.steps);
+  OPENIMA_OBS_WINDOWED_COUNT("train.microbatches", sums.terms);
+  OPENIMA_OBS_WINDOWED_COUNT("train.rounds", sums.steps);
   return FinishEpoch(dataset, split, epoch, sums, watchdog_before);
 }
 

@@ -381,7 +381,6 @@ Status OpenImaModel::TrainEpochs(const graph::Dataset& dataset,
                              : config_.epochs;
   for (int epoch = epochs_done_; epoch < last_epoch; ++epoch) {
     OPENIMA_OBS_PHASE("epoch");
-    OPENIMA_OBS_COUNT("train.epochs", 1);
     const int64_t unpooled_before = la::UnpooledAllocCount();
     const int64_t pool_misses_before = pool_.stats().misses;
     if (sampler != nullptr) {
@@ -402,7 +401,7 @@ Status OpenImaModel::TrainEpochs(const graph::Dataset& dataset,
     // the epoch counter, and the exporter (if one is running) is nudged so
     // the on-disk snapshot never lags a slow epoch by a full interval.
     OPENIMA_OBS_GAUGE("train.epoch", epochs_done_);
-    OPENIMA_OBS_ROLLING_COUNT("train.epochs", 1);
+    obs::CountEpoch();
     OPENIMA_OBS_TICK();
     obs::NotifyMetricsExporter();
   }

@@ -205,10 +205,10 @@ InferenceSession::InferenceSession(const InferenceService* service)
 
 Status InferenceSession::Classify(const std::vector<int>& nodes, uint64_t tag,
                                   std::vector<ClassifyResult>* out) {
-  // Live request metrics: windowed latency (rolling p50/p99 over the last
-  // N requests) plus a sampled root span the inner phases nest under.
-  obs::RollingScopedTimer request_timer("serve.request_ns");
-  obs::RequestTrace request_trace("serve_request");
+  // The request's root span: windowed latency (p50/p99 over the last N
+  // requests) plus, when sampled, the trace event the inner phases nest
+  // under.
+  obs::RequestTrace request_trace("serve_request", "serve.request_ns");
   const graph::Dataset& dataset = *service_->dataset_;
   const int n = dataset.num_nodes();
   if (nodes.empty()) {
@@ -312,11 +312,9 @@ Status InferenceSession::Classify(const std::vector<int>& nodes, uint64_t tag,
   request_trace.SetMeta("clusters",
                         static_cast<int64_t>(service_->centers_.rows()));
 
-  OPENIMA_OBS_COUNT("serve.requests", 1);
-  OPENIMA_OBS_COUNT("serve.nodes", static_cast<int64_t>(nodes.size()));
-  OPENIMA_OBS_ROLLING_COUNT("serve.requests", 1);
-  OPENIMA_OBS_ROLLING_COUNT("serve.nodes", static_cast<int64_t>(nodes.size()));
-  OPENIMA_OBS_ROLLING_COUNT("serve.novel", novel_count);
+  OPENIMA_OBS_WINDOWED_COUNT("serve.requests", 1);
+  OPENIMA_OBS_WINDOWED_COUNT("serve.nodes", nodes.size());
+  OPENIMA_OBS_WINDOWED_COUNT("serve.novel", novel_count);
 
   if (obs::DriftMonitor* drift = service_->drift_monitor()) {
     for (const ClassifyResult& r : *out) {

@@ -1,23 +1,15 @@
 #include "src/obs/drift.h"
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 #include "src/obs/metrics.h"
 
 namespace openima::obs {
-
-namespace {
-
-double EnvDoubleOr(const char* name, double fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || value[0] == '\0') return fallback;
-  return std::atof(value);
-}
-
-}  // namespace
 
 DriftMonitorOptions DriftOptionsFromEnv() {
   DriftMonitorOptions options;
@@ -31,17 +23,15 @@ DriftMonitorOptions DriftOptionsFromEnv() {
                    parsed.status().ToString().c_str());
     }
   }
-  const char* window = std::getenv("OPENIMA_DRIFT_WINDOW");
-  if (window != nullptr && window[0] != '\0') {
-    const long long w = std::atoll(window);
-    if (w > 0) options.window = static_cast<int>(w);
-  }
-  options.novel_fraction_delta =
-      EnvDoubleOr("OPENIMA_DRIFT_NOVEL_DELTA", options.novel_fraction_delta);
-  options.entropy_delta =
-      EnvDoubleOr("OPENIMA_DRIFT_ENTROPY_DELTA", options.entropy_delta);
-  options.distance_rel_delta =
-      EnvDoubleOr("OPENIMA_DRIFT_DISTANCE_DELTA", options.distance_rel_delta);
+  // A delta of `inf` switches its signal's alert off.
+  constexpr double kMaxDelta = std::numeric_limits<double>::infinity();
+  ReadEnvKnob("OPENIMA_DRIFT_WINDOW", 1, INT_MAX, &options.window);
+  ReadEnvKnob("OPENIMA_DRIFT_NOVEL_DELTA", 0.0, kMaxDelta,
+              &options.novel_fraction_delta);
+  ReadEnvKnob("OPENIMA_DRIFT_ENTROPY_DELTA", 0.0, kMaxDelta,
+              &options.entropy_delta);
+  ReadEnvKnob("OPENIMA_DRIFT_DISTANCE_DELTA", 0.0, kMaxDelta,
+              &options.distance_rel_delta);
   return options;
 }
 

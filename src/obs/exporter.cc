@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <utility>
@@ -11,21 +12,12 @@ namespace {
 
 Status WriteAtomic(const std::string& path, const std::string& text) {
   const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "w");
-  if (f == nullptr) {
-    return Status::IOError("cannot open " + tmp);
+  Status status = WriteTextFile(tmp, text);
+  if (status.ok() && std::rename(tmp.c_str(), path.c_str()) != 0) {
+    status = Status::IOError("cannot rename " + tmp + " -> " + path);
   }
-  const size_t written = std::fwrite(text.data(), 1, text.size(), f);
-  std::fclose(f);
-  if (written != text.size()) {
-    std::remove(tmp.c_str());
-    return Status::IOError("short write to " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::IOError("cannot rename " + tmp + " -> " + path);
-  }
-  return Status::OK();
+  if (!status.ok()) std::remove(tmp.c_str());
+  return status;
 }
 
 std::string PromName(const std::string& name) {
@@ -60,89 +52,80 @@ json::Value HistogramJson(const HistogramSnapshot& h) {
 
 }  // namespace
 
+void SetMetricsJson(const MetricsSnapshot& snapshot, json::Value* out) {
+  json::Value counters = json::Value::Object();
+  for (const auto& [name, total] : snapshot.counters) {
+    counters.Set(name, json::Value::Int(total));
+  }
+  out->Set("counters", std::move(counters));
+  json::Value gauges = json::Value::Object();
+  for (const auto& [name, value] : snapshot.gauges) {
+    gauges.Set(name, json::Value::Double(value));
+  }
+  out->Set("gauges", std::move(gauges));
+  json::Value histograms = json::Value::Object();
+  for (const auto& [name, h] : snapshot.histograms) {
+    histograms.Set(name, HistogramJson(h));
+  }
+  out->Set("histograms", std::move(histograms));
+}
+
 MetricsExporter::MetricsExporter(const ExporterOptions& options)
     : options_(options) {
   if (options_.registry == nullptr) options_.registry = MetricsRegistry::Global();
-  if (options_.rolling == nullptr) options_.rolling = RollingRegistry::Global();
   if (options_.interval_ms < 1) options_.interval_ms = 1;
 }
 
 MetricsExporter::~MetricsExporter() { Stop(); }
 
-json::Value MetricsExporter::SnapshotJson(
-    const MetricsSnapshot& metrics,
-    const std::map<std::string, RollingCounterSnapshot>& window_counters,
-    const std::map<std::string, RollingHistogramSnapshot>& window_histograms,
-    int64_t tick, int64_t sequence) {
+json::Value MetricsExporter::SnapshotJson(const MetricsSnapshot& snapshot,
+                                          int64_t sequence) {
   json::Value root = json::Value::Object();
   root.Set("schema", json::Value::Str("openima-metrics-snapshot"));
   root.Set("sequence", json::Value::Int(sequence));
-  root.Set("tick", json::Value::Int(tick));
+  root.Set("tick", json::Value::Int(snapshot.tick));
+  SetMetricsJson(snapshot, &root);
 
-  json::Value counters = json::Value::Object();
-  for (const auto& [name, total] : metrics.counters) {
-    counters.Set(name, json::Value::Int(total));
-  }
-  root.Set("counters", std::move(counters));
-
-  json::Value gauges = json::Value::Object();
-  for (const auto& [name, value] : metrics.gauges) {
-    gauges.Set(name, json::Value::Double(value));
-  }
-  root.Set("gauges", std::move(gauges));
-
-  json::Value histograms = json::Value::Object();
-  for (const auto& [name, h] : metrics.histograms) {
-    histograms.Set(name, HistogramJson(h));
-  }
-  root.Set("histograms", std::move(histograms));
-
-  json::Value windows = json::Value::Object();
   json::Value wc = json::Value::Object();
-  for (const auto& [name, snap] : window_counters) {
+  for (const auto& [name, w] : snapshot.window_counters) {
     json::Value entry = json::Value::Object();
-    entry.Set("window", json::Value::Int(snap.window));
-    entry.Set("total", json::Value::Int(snap.total));
-    entry.Set("rate_per_tick", json::Value::Double(snap.rate));
+    entry.Set("window", json::Value::Int(w.window));
+    entry.Set("total", json::Value::Int(w.total));
+    entry.Set("rate_per_tick", json::Value::Double(w.rate_per_tick()));
     wc.Set(name, std::move(entry));
   }
-  windows.Set("counters", std::move(wc));
   json::Value wh = json::Value::Object();
-  for (const auto& [name, snap] : window_histograms) {
-    json::Value entry = HistogramJson(snap.hist);
-    // Window width leads; re-Set keeps insertion order stable by building a
-    // fresh object instead.
-    json::Value ordered = json::Value::Object();
-    ordered.Set("window", json::Value::Int(snap.window));
-    for (const auto& [key, value] : entry.items()) {
-      ordered.Set(key, value);
-    }
-    wh.Set(name, std::move(ordered));
+  for (const auto& [name, w] : snapshot.window_histograms) {
+    // Window width leads, then the histogram's own fields in order.
+    json::Value entry = json::Value::Object();
+    entry.Set("window", json::Value::Int(w.window));
+    const json::Value fields = HistogramJson(w.hist);
+    for (const auto& [key, value] : fields.items()) entry.Set(key, value);
+    wh.Set(name, std::move(entry));
   }
+  json::Value windows = json::Value::Object();
+  windows.Set("counters", std::move(wc));
   windows.Set("histograms", std::move(wh));
   root.Set("windows", std::move(windows));
   return root;
 }
 
-std::string MetricsExporter::PrometheusText(
-    const MetricsSnapshot& metrics,
-    const std::map<std::string, RollingCounterSnapshot>& window_counters,
-    const std::map<std::string, RollingHistogramSnapshot>& window_histograms,
-    int64_t tick, int64_t sequence) {
+std::string MetricsExporter::PrometheusText(const MetricsSnapshot& snapshot,
+                                            int64_t sequence) {
   std::string out;
   out += "# openima metrics exposition (sequence " + std::to_string(sequence) +
-         ", tick " + std::to_string(tick) + ")\n";
-  for (const auto& [name, total] : metrics.counters) {
+         ", tick " + std::to_string(snapshot.tick) + ")\n";
+  for (const auto& [name, total] : snapshot.counters) {
     const std::string p = PromName(name);
     out += "# TYPE " + p + " counter\n";
     out += p + " " + std::to_string(total) + "\n";
   }
-  for (const auto& [name, value] : metrics.gauges) {
+  for (const auto& [name, value] : snapshot.gauges) {
     const std::string p = PromName(name);
     out += "# TYPE " + p + " gauge\n";
     out += p + " " + PromNumber(value) + "\n";
   }
-  for (const auto& [name, h] : metrics.histograms) {
+  for (const auto& [name, h] : snapshot.histograms) {
     const std::string p = PromName(name);
     out += "# TYPE " + p + " histogram\n";
     // Power-of-two buckets: buckets[b] counts v < 2^b (b = 0 holds v <= 0,
@@ -157,26 +140,27 @@ std::string MetricsExporter::PrometheusText(
     out += p + "_sum " + std::to_string(h.sum) + "\n";
     out += p + "_count " + std::to_string(h.count) + "\n";
   }
-  for (const auto& [name, snap] : window_counters) {
+  for (const auto& [name, w] : snapshot.window_counters) {
     const std::string p = PromName(name) + "_window";
+    const std::string window = std::to_string(w.window);
     out += "# TYPE " + p + " gauge\n";
-    out += p + "{stat=\"total\",window=\"" + std::to_string(snap.window) +
-           "\"} " + std::to_string(snap.total) + "\n";
-    out += p + "{stat=\"rate_per_tick\",window=\"" +
-           std::to_string(snap.window) + "\"} " + PromNumber(snap.rate) + "\n";
+    out += p + "{stat=\"total\",window=\"" + window + "\"} " +
+           std::to_string(w.total) + "\n";
+    out += p + "{stat=\"rate_per_tick\",window=\"" + window + "\"} " +
+           PromNumber(w.rate_per_tick()) + "\n";
   }
-  for (const auto& [name, snap] : window_histograms) {
+  for (const auto& [name, w] : snapshot.window_histograms) {
     const std::string p = PromName(name) + "_window";
+    const std::string window = std::to_string(w.window);
     out += "# TYPE " + p + " gauge\n";
-    const std::string w = std::to_string(snap.window);
-    out += p + "{stat=\"count\",window=\"" + w + "\"} " +
-           std::to_string(snap.hist.count) + "\n";
-    out += p + "{stat=\"p50\",window=\"" + w + "\"} " +
-           PromNumber(HistogramQuantile(snap.hist, 0.50)) + "\n";
-    out += p + "{stat=\"p99\",window=\"" + w + "\"} " +
-           PromNumber(HistogramQuantile(snap.hist, 0.99)) + "\n";
-    out += p + "{stat=\"p999\",window=\"" + w + "\"} " +
-           PromNumber(HistogramQuantile(snap.hist, 0.999)) + "\n";
+    out += p + "{stat=\"count\",window=\"" + window + "\"} " +
+           std::to_string(w.hist.count) + "\n";
+    out += p + "{stat=\"p50\",window=\"" + window + "\"} " +
+           PromNumber(HistogramQuantile(w.hist, 0.50)) + "\n";
+    out += p + "{stat=\"p99\",window=\"" + window + "\"} " +
+           PromNumber(HistogramQuantile(w.hist, 0.99)) + "\n";
+    out += p + "{stat=\"p999\",window=\"" + window + "\"} " +
+           PromNumber(HistogramQuantile(w.hist, 0.999)) + "\n";
   }
   return out;
 }
@@ -190,17 +174,11 @@ Status MetricsExporter::ExportNow() {
     std::lock_guard<std::mutex> lock(mu_);
     sequence = ++sequence_;
   }
-  const MetricsSnapshot metrics = options_.registry->Snapshot();
-  const auto window_counters = options_.rolling->CounterSnapshots();
-  const auto window_histograms = options_.rolling->HistogramSnapshots();
-  const int64_t tick = RollingClock::Now();
-  const json::Value doc = SnapshotJson(metrics, window_counters,
-                                       window_histograms, tick, sequence);
-  OPENIMA_RETURN_IF_ERROR(WriteAtomic(options_.path, doc.Dump(1) + "\n"));
+  const MetricsSnapshot snapshot = options_.registry->Snapshot();
   OPENIMA_RETURN_IF_ERROR(WriteAtomic(
-      options_.path + ".prom",
-      PrometheusText(metrics, window_counters, window_histograms, tick,
-                     sequence)));
+      options_.path, SnapshotJson(snapshot, sequence).Dump(1) + "\n"));
+  OPENIMA_RETURN_IF_ERROR(
+      WriteAtomic(options_.path + ".prom", PrometheusText(snapshot, sequence)));
   exports_done_.fetch_add(1, std::memory_order_acq_rel);
   return Status::OK();
 }
@@ -293,10 +271,8 @@ void InitExporterFromEnv() {
   if (path == nullptr || path[0] == '\0') return;
   ExporterOptions options;
   options.path = path;
-  const char* interval = std::getenv("OPENIMA_METRICS_EXPORT_INTERVAL_MS");
-  if (interval != nullptr && interval[0] != '\0') {
-    options.interval_ms = static_cast<int>(std::atoll(interval));
-  }
+  ReadEnvKnob("OPENIMA_METRICS_EXPORT_INTERVAL_MS", 1, INT_MAX,
+              &options.interval_ms);
   { const Status ignored = StartMetricsExporter(options); (void)ignored; }
 }
 

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <map>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -12,7 +11,6 @@
 #include "src/obs/json.h"
 #include "src/obs/metrics.h"
 #include "src/obs/obs_config.h"
-#include "src/obs/rolling.h"
 #include "src/util/status.h"
 
 namespace openima::obs {
@@ -20,23 +18,23 @@ namespace openima::obs {
 /// Configuration for a MetricsExporter. `path` receives the ordered-JSON
 /// snapshot ("openima-metrics-snapshot" schema, EXPERIMENTS.md); the
 /// Prometheus text-exposition twin is written next to it at `path` + ".prom".
-/// Registries default to the process-global ones; tests point both at local
-/// instances for isolation.
+/// The registry defaults to the process-global one; tests point it at a
+/// local instance for isolation.
 struct ExporterOptions {
   std::string path;
   int interval_ms = 1000;
   MetricsRegistry* registry = nullptr;   ///< nullptr: MetricsRegistry::Global()
-  RollingRegistry* rolling = nullptr;    ///< nullptr: RollingRegistry::Global()
 };
 
-/// Background thread that periodically serializes the metrics registry (plus
-/// the rolling-window registry) to disk so external tools — openima_top,
-/// Prometheus' textfile collector, run_diff --validate — can watch a live
-/// trainer or server. Every export writes to `<path>.tmp` then renames, so
-/// readers never observe a torn file. Snapshots carry the logical-clock tick
-/// and an export sequence number but no wall-clock timestamps: under the
-/// logical clock the bytes are a pure function of the recorded updates
-/// (tests/live_obs_test.cc pins byte-identity across thread counts).
+/// Background thread that periodically serializes the metrics registry,
+/// cumulative and windowed views alike, to disk so external tools —
+/// openima_top, Prometheus' textfile collector, run_diff --validate — can
+/// watch a live trainer or server. Every export writes to `<path>.tmp` then
+/// renames, so readers never observe a torn file. Snapshots carry the
+/// logical-clock tick and an export sequence number but no wall-clock
+/// timestamps: under the logical clock the bytes are a pure function of the
+/// recorded updates (tests/live_obs_test.cc pins byte-identity across
+/// thread counts).
 class MetricsExporter {
  public:
   explicit MetricsExporter(const ExporterOptions& options);
@@ -66,19 +64,13 @@ class MetricsExporter {
   const ExporterOptions& options() const { return options_; }
 
   /// The snapshot document (shared by ExportNow and the tests).
-  static json::Value SnapshotJson(
-      const MetricsSnapshot& metrics,
-      const std::map<std::string, RollingCounterSnapshot>& window_counters,
-      const std::map<std::string, RollingHistogramSnapshot>& window_histograms,
-      int64_t tick, int64_t sequence);
+  static json::Value SnapshotJson(const MetricsSnapshot& snapshot,
+                                  int64_t sequence);
 
-  /// Prometheus text-exposition rendering of the same inputs. Metric names
-  /// are sanitized ([^a-zA-Z0-9_] -> '_') and prefixed "openima_".
-  static std::string PrometheusText(
-      const MetricsSnapshot& metrics,
-      const std::map<std::string, RollingCounterSnapshot>& window_counters,
-      const std::map<std::string, RollingHistogramSnapshot>& window_histograms,
-      int64_t tick, int64_t sequence);
+  /// Prometheus text-exposition rendering of the same snapshot. Metric
+  /// names are sanitized ([^a-zA-Z0-9_] -> '_') and prefixed "openima_".
+  static std::string PrometheusText(const MetricsSnapshot& snapshot,
+                                    int64_t sequence);
 
  private:
   void ThreadMain();
@@ -92,6 +84,12 @@ class MetricsExporter {
   std::atomic<int64_t> exports_done_{0};
   int64_t sequence_ = 0;
 };
+
+/// Sets the cumulative members of a snapshot document on the object `out`:
+/// "counters" and "gauges" as name -> value, "histograms" as name ->
+/// {count, sum, min, max, mean, p50, p99, p999}. The one serializer of
+/// SnapshotJson and RunReport::AddMetrics.
+void SetMetricsJson(const MetricsSnapshot& snapshot, json::Value* out);
 
 #if OPENIMA_OBS_ENABLED
 

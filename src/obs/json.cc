@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 
 #include "src/util/logging.h"
 #include "src/util/string_util.h"
@@ -432,3 +433,36 @@ StatusOr<Value> Value::Parse(const std::string& text) {
 }
 
 }  // namespace openima::obs::json
+
+namespace openima::obs {
+
+Status WriteAndFlush(std::FILE* f, const std::string& text,
+                     const std::string& path) {
+  const size_t written = std::fwrite(text.data(), 1, text.size(), f);
+  if (std::fflush(f) != 0 || written != text.size()) {
+    return Status::IOError("write to " + path + " failed: " +
+                           std::strerror(errno));
+  }
+  return Status::OK();
+}
+
+Status CloseFile(std::FILE* f, const std::string& path) {
+  if (std::fclose(f) != 0) {
+    return Status::IOError("cannot close " + path + ": " +
+                           std::strerror(errno));
+  }
+  return Status::OK();
+}
+
+Status WriteTextFile(const std::string& path, const std::string& text) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) {
+    return Status::IOError("cannot open " + path + ": " +
+                           std::strerror(errno));
+  }
+  const Status written = WriteAndFlush(f, text, path);
+  const Status closed = CloseFile(f, path);
+  return written.ok() ? closed : written;
+}
+
+}  // namespace openima::obs

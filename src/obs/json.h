@@ -2,6 +2,7 @@
 #define OPENIMA_OBS_JSON_H_
 
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <utility>
 #include <vector>
@@ -85,5 +86,21 @@ class Value {
 std::string Escape(const std::string& s);
 
 }  // namespace openima::obs::json
+
+namespace openima::obs {
+
+/// Writes `text` to the open stream `f` and flushes it. A short write or a
+/// failed flush (a full disk surfaces there) is an IOError naming `path`.
+Status WriteAndFlush(std::FILE* f, const std::string& text,
+                     const std::string& path);
+
+/// Closes `f`; IOError naming `path` when the close fails.
+Status CloseFile(std::FILE* f, const std::string& path);
+
+/// Writes `text` as the whole content of `path`, with both checks above —
+/// the one write path of the report, trace, snapshot and telemetry writers.
+Status WriteTextFile(const std::string& path, const std::string& text);
+
+}  // namespace openima::obs
 
 #endif  // OPENIMA_OBS_JSON_H_

@@ -3,11 +3,13 @@
 
 /// Umbrella header for the observability layer (DESIGN.md §2.4):
 ///
-///  - MetricsRegistry: named counters/gauges/histograms with lock-free
-///    striped updates and a deterministic merged snapshot (metrics.h).
-///  - Phase / ScopedTimer: RAII spans that nest into a phase tree, feed
-///    "time/<path>" histograms, and emit chrome://tracing JSON when
-///    OPENIMA_TRACE / --trace is set (trace.h).
+///  - MetricsRegistry: the one metric model — named counters/gauges/
+///    histograms with lock-free striped updates and a deterministic merged
+///    snapshot; a counter or histogram created with a window also keeps a
+///    ring over the last N RollingClock ticks (metrics.h).
+///  - Phase: RAII spans that nest into a phase tree, feed "time/<path>"
+///    histograms, and emit chrome://tracing JSON when OPENIMA_TRACE /
+///    --trace is set (trace.h).
 ///  - RunReport: the unified JSON record of a run (report.h).
 ///  - TelemetryLog / EpochRecord: per-epoch training time-series written as
 ///    JSONL when OPENIMA_TELEMETRY / --telemetry is set (telemetry.h).
@@ -15,11 +17,10 @@
 ///    updates with record/warn/abort policies (watchdog.h).
 ///  - run_diff: tolerance-ruled diff/validation of run artifacts backing
 ///    the tools/run_diff regression gate (run_diff.h).
-///  - RollingCounter / RollingHistogram: windowed live metrics over the
-///    last N logical-clock ticks (rolling.h).
 ///  - MetricsExporter: periodic Prometheus + JSON exposition snapshots via
 ///    atomic rename, OPENIMA_METRICS_EXPORT / --metrics-export (exporter.h).
-///  - RequestTrace: 1-in-N sampled per-request root spans with metadata,
+///  - RequestTrace: the serve request's root span — windowed latency for
+///    every request, 1-in-N sampled trace events with metadata,
 ///    OPENIMA_TRACE_SAMPLE (trace.h).
 ///  - DriftMonitor: online novel-fraction / entropy / distance drift alerts
 ///    on the serve path, OPENIMA_DRIFT (drift.h).
@@ -33,7 +34,6 @@
 #include "src/obs/metrics.h"
 #include "src/obs/obs_config.h"
 #include "src/obs/report.h"
-#include "src/obs/rolling.h"
 #include "src/obs/run_diff.h"
 #include "src/obs/telemetry.h"
 #include "src/obs/trace.h"
@@ -67,35 +67,22 @@
     openima_obs_gauge->Set(static_cast<double>(value));                 \
   } while (0)
 
-/// Records an integer observation into the named histogram.
-#define OPENIMA_OBS_RECORD(name, value)                                 \
+/// Adds `delta` to the named windowed counter: its cumulative total and
+/// its window over the last kDefaultWindowTicks RollingClock ticks (the
+/// windowed rate live dashboards show). A name takes one of the two COUNT
+/// macros, never both: the registry CHECK-fails on a second window for a
+/// name.
+#define OPENIMA_OBS_WINDOWED_COUNT(name, delta)                         \
   do {                                                                  \
-    static ::openima::obs::Histogram* openima_obs_histogram =           \
-        ::openima::obs::MetricsRegistry::Global()->histogram(name);     \
-    openima_obs_histogram->Record(static_cast<int64_t>(value));         \
+    static ::openima::obs::Counter* openima_obs_wcounter =              \
+        ::openima::obs::MetricsRegistry::Global()->counter(             \
+            name, ::openima::obs::kDefaultWindowTicks);                 \
+    openima_obs_wcounter->Add(static_cast<int64_t>(delta));             \
   } while (0)
 
-/// Adds `delta` to the named rolling-window counter (windowed rate over
-/// the last kDefaultWindowTicks logical-clock ticks).
-#define OPENIMA_OBS_ROLLING_COUNT(name, delta)                          \
-  do {                                                                  \
-    static ::openima::obs::RollingCounter* openima_obs_rcounter =       \
-        ::openima::obs::RollingRegistry::Global()->counter(name);       \
-    openima_obs_rcounter->Add(static_cast<int64_t>(delta));             \
-  } while (0)
-
-/// Records an integer observation into the named rolling-window histogram
-/// (windowed p50/p99/p999).
-#define OPENIMA_OBS_ROLLING_RECORD(name, value)                         \
-  do {                                                                  \
-    static ::openima::obs::RollingHistogram* openima_obs_rhistogram =   \
-        ::openima::obs::RollingRegistry::Global()->histogram(name);     \
-    openima_obs_rhistogram->Record(static_cast<int64_t>(value));        \
-  } while (0)
-
-/// Advances the rolling logical clock by one tick. The serve path ticks
-/// once per request, the trainer once per epoch; under the wall-clock
-/// opt-in (OPENIMA_ROLLING_WALL_MS) this is a no-op.
+/// Advances the RollingClock by one tick. The serve path ticks once per
+/// request, the trainer once per epoch; under the wall-clock opt-in
+/// (OPENIMA_ROLLING_WALL_MS) this is a no-op.
 #define OPENIMA_OBS_TICK() ::openima::obs::RollingClock::Tick()
 
 #else  // !OPENIMA_OBS_ENABLED
@@ -113,17 +100,9 @@
   do {                                  \
     (void)sizeof(value);                \
   } while (0)
-#define OPENIMA_OBS_RECORD(name, value) \
-  do {                                  \
-    (void)sizeof(value);                \
-  } while (0)
-#define OPENIMA_OBS_ROLLING_COUNT(name, delta) \
-  do {                                         \
-    (void)sizeof(delta);                       \
-  } while (0)
-#define OPENIMA_OBS_ROLLING_RECORD(name, value) \
+#define OPENIMA_OBS_WINDOWED_COUNT(name, delta) \
   do {                                          \
-    (void)sizeof(value);                        \
+    (void)sizeof(delta);                        \
   } while (0)
 #define OPENIMA_OBS_TICK() \
   do {                     \

@@ -1,9 +1,9 @@
 #include "src/obs/report.h"
 
-#include <cstdio>
 #include <cstdlib>
 
 #include "src/la/backend/backend.h"
+#include "src/obs/exporter.h"
 #include "src/obs/obs_config.h"
 
 // Build identity baked in by src/obs/CMakeLists.txt; the fallbacks keep
@@ -72,43 +72,12 @@ void RunReport::Set(const std::string& section, const std::string& key,
   Section(section)->Set(key, std::move(v));
 }
 
-void RunReport::AddMetrics(const MetricsSnapshot& snapshot,
-                           bool include_buckets) {
-  json::Value* metrics = Section("metrics");
-  json::Value counters = json::Value::Object();
-  for (const auto& [name, total] : snapshot.counters) {
-    counters.Set(name, json::Value::Int(total));
-  }
-  metrics->Set("counters", std::move(counters));
-  json::Value gauges = json::Value::Object();
-  for (const auto& [name, value] : snapshot.gauges) {
-    gauges.Set(name, json::Value::Double(value));
-  }
-  metrics->Set("gauges", std::move(gauges));
-  json::Value histograms = json::Value::Object();
-  for (const auto& [name, h] : snapshot.histograms) {
-    // Phase histograms are reported by AddPhaseBreakdown in ms; keep the
-    // raw-ns duplicates out of the metrics section.
-    if (name.rfind("time/", 0) == 0) continue;
-    json::Value entry = json::Value::Object();
-    entry.Set("count", json::Value::Int(h.count));
-    entry.Set("sum", json::Value::Int(h.sum));
-    entry.Set("min", json::Value::Int(h.min));
-    entry.Set("max", json::Value::Int(h.max));
-    entry.Set("mean", json::Value::Double(h.Mean()));
-    if (include_buckets) {
-      // Sparse dump: key = bucket index (values in [2^(b-1), 2^b)), only
-      // non-empty buckets, ascending — deterministic and diffable.
-      json::Value buckets = json::Value::Object();
-      for (size_t b = 0; b < h.buckets.size(); ++b) {
-        if (h.buckets[b] == 0) continue;
-        buckets.Set(std::to_string(b), json::Value::Int(h.buckets[b]));
-      }
-      entry.Set("buckets", std::move(buckets));
-    }
-    histograms.Set(name, std::move(entry));
-  }
-  metrics->Set("histograms", std::move(histograms));
+void RunReport::AddMetrics(const MetricsSnapshot& snapshot) {
+  MetricsSnapshot cumulative = snapshot;
+  std::erase_if(cumulative.histograms, [](const auto& entry) {
+    return entry.first.rfind("time/", 0) == 0;
+  });
+  SetMetricsJson(cumulative, Section("metrics"));
 }
 
 void RunReport::AddPhaseBreakdown() {
@@ -125,18 +94,7 @@ void RunReport::AddPhaseBreakdown() {
 }
 
 Status RunReport::WriteFile(const std::string& path) const {
-  const std::string text = ToJson();
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return Status::IOError("cannot open report file " + path);
-  }
-  const size_t written = std::fwrite(text.data(), 1, text.size(), f);
-  std::fputc('\n', f);
-  std::fclose(f);
-  if (written != text.size()) {
-    return Status::IOError("short write to " + path);
-  }
-  return Status::OK();
+  return WriteTextFile(path, ToJson() + "\n");
 }
 
 }  // namespace openima::obs

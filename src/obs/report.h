@@ -33,14 +33,12 @@ class RunReport {
   /// Convenience setters into a section.
   void Set(const std::string& section, const std::string& key, json::Value v);
 
-  /// Serializes a MetricsSnapshot under the "metrics" section: counters and
-  /// gauges as flat name->value objects, histograms as
-  /// {count, sum, min, max, mean}. With include_buckets, each histogram
-  /// also carries its non-empty power-of-two buckets as a {"<bucket>":
-  /// count} object — enough for run_diff to compare latency distributions,
-  /// not just means (`--report-buckets` in quickstart).
-  void AddMetrics(const MetricsSnapshot& snapshot,
-                  bool include_buckets = false);
+  /// Serializes a MetricsSnapshot's cumulative views under the "metrics"
+  /// section with the exporter's serializer (SetMetricsJson): counters and
+  /// gauges as flat name->value objects, histograms as {count, sum, min,
+  /// max, mean, p50, p99, p999}. "time/<path>" histograms are left to
+  /// AddPhaseBreakdown.
+  void AddMetrics(const MetricsSnapshot& snapshot);
 
   /// Captures every "time/<path>" histogram of the global registry under
   /// the "phases" section as {calls, total_ms, mean_ms} per path.

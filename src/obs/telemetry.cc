@@ -7,6 +7,8 @@
 #include <sstream>
 #include <utility>
 
+#include "src/obs/metrics.h"
+
 namespace openima::obs {
 
 namespace {
@@ -153,17 +155,12 @@ bool TelemetryLog::is_open() const {
 }
 
 Status TelemetryLog::Append(const EpochRecord& record) {
-  const std::string line = record.ToJson().Dump(/*indent=*/0);
+  const std::string line = record.ToJson().Dump(/*indent=*/0) + "\n";
   std::lock_guard<std::mutex> lock(mu_);
   if (file_ == nullptr) {
     return Status::FailedPrecondition("telemetry log is not open");
   }
-  const size_t written = std::fwrite(line.data(), 1, line.size(), file_);
-  std::fputc('\n', file_);
-  std::fflush(file_);
-  if (written != line.size()) {
-    return Status::IOError("short write to " + path_);
-  }
+  OPENIMA_RETURN_IF_ERROR(WriteAndFlush(file_, line, path_));
   ++records_;
   return Status::OK();
 }
@@ -176,9 +173,9 @@ int64_t TelemetryLog::records_written() const {
 Status TelemetryLog::Close() {
   std::lock_guard<std::mutex> lock(mu_);
   if (file_ == nullptr) return Status::OK();
-  std::fclose(file_);
+  std::FILE* f = file_;
   file_ = nullptr;
-  return Status::OK();
+  return CloseFile(f, path_);
 }
 
 StatusOr<std::vector<json::Value>> ReadJsonl(const std::string& path) {
@@ -273,6 +270,12 @@ void InitTelemetryFromEnv() {
   if (Status s = StartTelemetry(path); !s.ok()) {
     std::fprintf(stderr, "OPENIMA_TELEMETRY: %s\n", s.ToString().c_str());
   }
+}
+
+void CountEpoch() {
+  static Counter* epochs =
+      MetricsRegistry::Global()->counter("train.epochs", kDefaultWindowTicks);
+  epochs->Increment();
 }
 
 #endif  // OPENIMA_OBS_ENABLED

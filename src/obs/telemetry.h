@@ -144,6 +144,12 @@ std::string TelemetryRunLabel();
 /// Safe to call repeatedly.
 void InitTelemetryFromEnv();
 
+/// Counts one finished epoch in the windowed "train.epochs" counter. Every
+/// trainer calls it once per epoch after its optimizer step (OpenIMA from
+/// its epoch heartbeat, the baselines through FinishEpochTelemetry), so the
+/// counter's window and timing are decided here. Independent of the sink.
+void CountEpoch();
+
 #else  // !OPENIMA_OBS_ENABLED
 
 inline Status StartTelemetry(const std::string&) {
@@ -156,6 +162,7 @@ inline Status AppendTelemetry(const EpochRecord&) { return Status::OK(); }
 inline void SetTelemetryRunLabel(const std::string&) {}
 inline std::string TelemetryRunLabel() { return std::string(); }
 inline void InitTelemetryFromEnv() {}
+inline void CountEpoch() {}
 
 #endif  // OPENIMA_OBS_ENABLED
 

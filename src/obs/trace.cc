@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
@@ -11,7 +12,6 @@
 #include "src/obs/exporter.h"
 #include "src/obs/json.h"
 #include "src/obs/metrics.h"
-#include "src/obs/rolling.h"
 #include "src/obs/telemetry.h"
 #include "src/obs/watchdog.h"
 #include "src/util/string_util.h"
@@ -120,8 +120,7 @@ void RecordEvent(std::string path, int64_t start_ns, int64_t dur_ns,
 void AtExitFlush() {
   Status s = StopTracing();
   if (!s.ok()) {
-    std::fprintf(stderr, "OPENIMA_TRACE flush failed: %s\n",
-                 s.ToString().c_str());
+    std::fprintf(stderr, "trace flush failed: %s\n", s.ToString().c_str());
   }
 }
 
@@ -148,14 +147,8 @@ Phase::~Phase() {
   }
 }
 
-ScopedTimer::ScopedTimer(const char* histogram_name)
-    : name_(histogram_name), start_ns_(NowNs()) {}
-
-ScopedTimer::~ScopedTimer() {
-  MetricsRegistry::Global()->histogram(name_)->Record(NowNs() - start_ns_);
-}
-
-RequestTrace::RequestTrace(const char* name) : name_(name) {
+RequestTrace::RequestTrace(const char* name, const char* latency_name)
+    : name_(name), latency_name_(latency_name), start_ns_(NowNs()) {
   active_ = TracingActive();
   if (!active_) return;
   const int64_t period = g_trace_sample_period.load(std::memory_order_relaxed);
@@ -164,7 +157,6 @@ RequestTrace::RequestTrace(const char* name) : name_(name) {
   sampled_ = (r % period == 0);
   ThreadTraceState& state = ThreadState();
   if (sampled_) {
-    start_ns_ = NowNs();
     state.stack.push_back(name_);
   } else {
     prev_suppress_ = state.suppress;
@@ -173,13 +165,16 @@ RequestTrace::RequestTrace(const char* name) : name_(name) {
 }
 
 RequestTrace::~RequestTrace() {
+  const int64_t end_ns = NowNs();
+  MetricsRegistry::Global()
+      ->histogram(latency_name_, kDefaultWindowTicks)
+      ->Record(end_ns - start_ns_);
   if (!active_) return;
   ThreadTraceState& state = ThreadState();
   if (!sampled_) {
     state.suppress = prev_suppress_;
     return;
   }
-  const int64_t end_ns = NowNs();
   std::string path = JoinedPath(state.stack);
   state.stack.pop_back();
   Tracer* tracer = GlobalTracer();
@@ -222,6 +217,8 @@ Status StartTracing(const std::string& path) {
   tracer->start_ns = NowNs();
   tracer->events.clear();
   tracer->active.store(true, std::memory_order_relaxed);
+  static const bool flush_registered = std::atexit(AtExitFlush) == 0;
+  static_cast<void>(flush_registered);
   return Status::OK();
 }
 
@@ -276,18 +273,8 @@ Status StopTracing() {
   json::Value doc = json::Value::Object();
   doc.Set("traceEvents", std::move(events));
   doc.Set("displayTimeUnit", json::Value::Str("ms"));
-  const std::string text = doc.Dump(1);
-  std::FILE* f = std::fopen(tracer->path.c_str(), "w");
-  if (f == nullptr) {
-    return Status::IOError("cannot open trace file " + tracer->path);
-  }
-  const size_t written = std::fwrite(text.data(), 1, text.size(), f);
-  std::fclose(f);
   tracer->events.clear();
-  if (written != text.size()) {
-    return Status::IOError("short write to " + tracer->path);
-  }
-  return Status::OK();
+  return WriteTextFile(tracer->path, doc.Dump(1));
 }
 
 void InitFromEnv() {
@@ -298,20 +285,20 @@ void InitFromEnv() {
   // covers the whole observability layer.
   InitTelemetryFromEnv();
   InitWatchdogFromEnv();
-  InitRollingFromEnv();
+  if (int64_t ms = 0; ReadEnvKnob<int64_t>("OPENIMA_ROLLING_WALL_MS", 1,
+                                           INT_MAX, &ms)) {
+    RollingClock::EnableWallClock(ms);
+  }
   InitExporterFromEnv();
-  const char* sample = std::getenv("OPENIMA_TRACE_SAMPLE");
-  if (sample != nullptr && sample[0] != '\0') {
-    SetTraceSamplePeriod(std::atoll(sample));
+  if (int64_t period = 1;
+      ReadEnvKnob<int64_t>("OPENIMA_TRACE_SAMPLE", 1, INT_MAX, &period)) {
+    SetTraceSamplePeriod(period);
   }
   const char* path = std::getenv("OPENIMA_TRACE");
   if (path == nullptr || path[0] == '\0') return;
-  Status s = StartTracing(path);
-  if (!s.ok()) {
+  if (Status s = StartTracing(path); !s.ok()) {
     std::fprintf(stderr, "OPENIMA_TRACE: %s\n", s.ToString().c_str());
-    return;
   }
-  std::atexit(AtExitFlush);
 }
 
 std::string PhaseBreakdown() {

@@ -39,34 +39,20 @@ class Phase {
   int64_t start_ns_;
 };
 
-/// RAII timer without nesting/trace semantics: records its lifetime in
-/// nanoseconds into the registry histogram `name` verbatim. For ad-hoc
-/// timings that should not appear in the phase tree.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(const char* histogram_name);
-  ~ScopedTimer();
-
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  const char* name_;
-  int64_t start_ns_;
-};
-
-/// RAII root span for one serving request, with 1-in-N sampling
-/// (SetTraceSamplePeriod / OPENIMA_TRACE_SAMPLE). While tracing is active,
-/// every Nth request is *sampled*: the span opens like a Phase, so the
-/// request's inner phases (serve_sample/gather/forward/distance) nest under
-/// it in the chrome trace, and SetMeta key/values ride along in the root
-/// event's args. The other N-1 requests are *suppressed*: their phase spans
-/// still feed the "time/..." histograms (metrics stay complete) but emit no
-/// trace events, which is what keeps full-fidelity tracing affordable under
-/// production request rates. Inert (two relaxed loads) when tracing is off.
+/// RAII root span for one serving request. Every request records its
+/// latency (nanoseconds) into the windowed global histogram `latency_name`
+/// (kDefaultWindowTicks ticks), so live p50/p99 cover recent traffic. While
+/// tracing is active, every Nth request is also *sampled*
+/// (SetTraceSamplePeriod / OPENIMA_TRACE_SAMPLE): the span opens like a
+/// Phase, so the request's inner phases (serve_sample/gather/forward/
+/// distance) nest under it in the chrome trace, and SetMeta key/values ride
+/// along in the root event's args. The other N-1 requests are *suppressed*:
+/// their phase spans still feed the "time/..." histograms (metrics stay
+/// complete) but emit no trace events, which is what keeps full-fidelity
+/// tracing affordable under production request rates.
 class RequestTrace {
  public:
-  explicit RequestTrace(const char* name);
+  RequestTrace(const char* name, const char* latency_name);
   ~RequestTrace();
 
   RequestTrace(const RequestTrace&) = delete;
@@ -81,7 +67,8 @@ class RequestTrace {
 
  private:
   const char* name_;
-  int64_t start_ns_ = 0;
+  const char* latency_name_;
+  int64_t start_ns_;
   bool active_ = false;    ///< tracing was on when the request began
   bool sampled_ = false;
   bool prev_suppress_ = false;
@@ -97,16 +84,9 @@ class Phase {
   Phase& operator=(const Phase&) = delete;
 };
 
-class ScopedTimer {
- public:
-  explicit ScopedTimer(const char*) {}
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-};
-
 class RequestTrace {
  public:
-  explicit RequestTrace(const char*) {}
+  RequestTrace(const char*, const char*) {}
   RequestTrace(const RequestTrace&) = delete;
   RequestTrace& operator=(const RequestTrace&) = delete;
   void SetMeta(const char*, const std::string&) {}
@@ -123,9 +103,10 @@ void SetTraceSamplePeriod(int64_t period);
 int64_t TraceSamplePeriod();
 
 /// Begins collecting trace events; they are written to `path` (chrome trace
-/// JSON) by StopTracing or the atexit hook InitFromEnv installs. Returns
-/// FailedPrecondition when tracing is already active, or when the layer is
-/// compiled out (OPENIMA_OBS=OFF).
+/// JSON) by StopTracing, or at process exit by the hook the first call
+/// installs — so `--trace=PATH` and OPENIMA_TRACE share one flush path.
+/// Returns FailedPrecondition when tracing is already active, or when the
+/// layer is compiled out (OPENIMA_OBS=OFF).
 Status StartTracing(const std::string& path);
 
 /// True between StartTracing and StopTracing (always false when compiled
@@ -138,9 +119,11 @@ bool TracingActive();
 Status StopTracing();
 
 /// Reads OPENIMA_TRACE; when set and non-empty, starts tracing to that path
-/// and installs an atexit hook that writes the file at process exit.
-/// Binaries call this once at the top of main() — it is what makes
-/// `OPENIMA_TRACE=run.json ./quickstart` work. Safe to call repeatedly.
+/// (written at process exit, see StartTracing). Also applies the other obs
+/// env knobs: telemetry, watchdog, OPENIMA_ROLLING_WALL_MS, the exporter and
+/// OPENIMA_TRACE_SAMPLE. Binaries call this once at the top of main() — it
+/// is what makes `OPENIMA_TRACE=run.json ./quickstart` work. Safe to call
+/// repeatedly.
 void InitFromEnv();
 
 /// Plain-text table of every "time/<path>" histogram in the global

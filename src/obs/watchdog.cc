@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <mutex>
 #include <sstream>
 
@@ -166,18 +167,10 @@ void InitWatchdogFromEnv() {
   }
   WatchdogOptions options;
   options.policy = *policy;
-  if (const char* norm_env = std::getenv("OPENIMA_WATCHDOG_MAX_NORM");
-      norm_env != nullptr && norm_env[0] != '\0') {
-    char* end = nullptr;
-    const double limit = std::strtod(norm_env, &end);
-    if (end != norm_env && *end == '\0' && limit > 0.0) {
-      options.max_grad_norm = limit;
-    } else {
-      std::fprintf(stderr,
-                   "OPENIMA_WATCHDOG_MAX_NORM: invalid value '%s' (ignored)\n",
-                   norm_env);
-    }
-  }
+  // Any positive limit; `inf` switches the norm check off.
+  ReadEnvKnob("OPENIMA_WATCHDOG_MAX_NORM",
+              std::numeric_limits<double>::denorm_min(),
+              std::numeric_limits<double>::infinity(), &options.max_grad_norm);
   Watchdog::Configure(options);
 #endif
 }

@@ -1,5 +1,5 @@
-// Live-serving observability (DESIGN.md §2.10): the rolling-window metric
-// layer's logical-clock determinism, the MetricsExporter's snapshot formats
+// Live-serving observability (DESIGN.md §2.10): the windowed counters and
+// histograms' logical-clock determinism, the MetricsExporter's snapshot formats
 // (ordered JSON + Prometheus text exposition) — including the acceptance
 // pin that exported bytes are identical across thread counts under the
 // logical clock — and the online drift monitor's baseline/alert/abort
@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -66,32 +67,41 @@ TEST(RollingTest, WallClockModeAdvancesWithoutTick) {
   EXPECT_FALSE(RollingClock::wall_clock());
 }
 
-// ----------------------------------------------------- rolling counter --
+// ---------------------------------------------------- windowed counter --
+
+// The window of the registry metric `name` as of the current tick.
+int64_t WindowTotal(const MetricsRegistry& registry, const std::string& name) {
+  return registry.Snapshot().window_counters.at(name).total;
+}
 
 TEST(RollingTest, CounterWindowExpiresOldTicks) {
   ClockGuard guard;
-  RollingCounter counter(/*window_ticks=*/4);
-  counter.Add(10);  // tick 0
+  MetricsRegistry registry;
+  Counter* counter = registry.counter("c", /*window_ticks=*/4);
+  counter->Add(10);  // tick 0
   RollingClock::Tick();
-  counter.Add(5);  // tick 1
-  RollingCounterSnapshot snap = counter.WindowSnapshot();
-  EXPECT_EQ(snap.total, 15);
-  EXPECT_EQ(snap.window, 4);
-  EXPECT_DOUBLE_EQ(snap.rate, 15.0 / 4.0);
+  counter->Add(5);  // tick 1
+  EXPECT_EQ(WindowTotal(registry, "c"), 15);
+  EXPECT_EQ(registry.Snapshot().window_counters.at("c").window, 4);
+  EXPECT_DOUBLE_EQ(
+      registry.Snapshot().window_counters.at("c").rate_per_tick(), 15.0 / 4.0);
 
   // Advance until tick 0 leaves the window (window covers (now-4, now]).
   RollingClock::Tick();  // 2
   RollingClock::Tick();  // 3
   RollingClock::Tick();  // 4: tick 0 now out of range, tick 1 still in
-  EXPECT_EQ(counter.WindowTotal(), 5);
+  EXPECT_EQ(WindowTotal(registry, "c"), 5);
   RollingClock::Tick();  // 5: everything expired
-  EXPECT_EQ(counter.WindowTotal(), 0);
+  EXPECT_EQ(WindowTotal(registry, "c"), 0);
 
-  // Slots recycle: new traffic lands cleanly after expiry.
-  counter.Add(7);
-  EXPECT_EQ(counter.WindowTotal(), 7);
-  counter.Reset();
-  EXPECT_EQ(counter.WindowTotal(), 0);
+  // Slots recycle: new traffic lands cleanly after expiry, while the
+  // cumulative total keeps everything.
+  counter->Add(7);
+  EXPECT_EQ(WindowTotal(registry, "c"), 7);
+  EXPECT_EQ(counter->Total(), 22);
+  registry.Reset();
+  EXPECT_EQ(WindowTotal(registry, "c"), 0);
+  EXPECT_EQ(counter->Total(), 0);
 }
 
 TEST(RollingTest, CounterWindowTotalIsThreadCountInvariant) {
@@ -99,101 +109,137 @@ TEST(RollingTest, CounterWindowTotalIsThreadCountInvariant) {
   std::vector<int64_t> totals;
   for (int threads : {1, 2, 4}) {
     RollingClock::ResetForTest();
-    RollingCounter counter(/*window_ticks=*/8);
+    MetricsRegistry registry;
+    Counter* counter = registry.counter("c", /*window_ticks=*/8);
     for (int tick = 0; tick < 6; ++tick) {
       std::vector<std::thread> pool;
       for (int t = 0; t < threads; ++t) {
-        pool.emplace_back([&counter, threads, t] {
+        pool.emplace_back([counter, threads, t] {
           // 120 increments per tick, partitioned across the pool.
-          for (int i = t; i < 120; i += threads) counter.Add(1);
+          for (int i = t; i < 120; i += threads) counter->Add(1);
         });
       }
       for (auto& th : pool) th.join();
       RollingClock::Tick();
     }
-    totals.push_back(counter.WindowTotal());
+    totals.push_back(WindowTotal(registry, "c"));
   }
   EXPECT_EQ(totals[0], totals[1]);
   EXPECT_EQ(totals[0], totals[2]);
   EXPECT_EQ(totals[0], 6 * 120);
 }
 
-// --------------------------------------------------- rolling histogram --
+// -------------------------------------------------- windowed histogram --
 
 TEST(RollingTest, HistogramWindowMergesAndExpires) {
   ClockGuard guard;
-  RollingHistogram hist(/*window_ticks=*/4);
-  hist.Record(10);
-  hist.Record(100);
+  MetricsRegistry registry;
+  Histogram* hist = registry.histogram("h", /*window_ticks=*/4);
+  const auto window = [&registry] {
+    return registry.Snapshot().window_histograms.at("h").hist;
+  };
+  hist->Record(10);
+  hist->Record(100);
   RollingClock::Tick();
-  hist.Record(1000);
+  hist->Record(1000);
 
-  RollingHistogramSnapshot snap = hist.WindowSnapshot();
-  EXPECT_EQ(snap.hist.count, 3);
-  EXPECT_EQ(snap.hist.sum, 1110);
-  EXPECT_EQ(snap.hist.min, 10);
-  EXPECT_EQ(snap.hist.max, 1000);
-  const double p50 = HistogramQuantile(snap.hist, 0.5);
+  HistogramSnapshot snap = window();
+  EXPECT_EQ(snap.count, 3);
+  EXPECT_EQ(snap.sum, 1110);
+  EXPECT_EQ(snap.min, 10);
+  EXPECT_EQ(snap.max, 1000);
+  const double p50 = HistogramQuantile(snap, 0.5);
   EXPECT_GE(p50, 10.0);
   EXPECT_LE(p50, 1000.0);
+  // The ring and the cumulative shards merge through one function, so a
+  // window covering every tick equals the cumulative view field by field.
+  const HistogramSnapshot all = hist->Snapshot();
+  EXPECT_EQ(all.count, snap.count);
+  EXPECT_EQ(all.sum, snap.sum);
+  EXPECT_EQ(all.min, snap.min);
+  EXPECT_EQ(all.max, snap.max);
+  EXPECT_EQ(all.buckets, snap.buckets);
 
   // Advance to tick 4: the window (0, 4] drops the first tick's two
   // records; only the 1000 recorded at tick 1 remains.
   for (int i = 0; i < 3; ++i) RollingClock::Tick();
-  snap = hist.WindowSnapshot();
-  EXPECT_EQ(snap.hist.count, 1);
-  EXPECT_EQ(snap.hist.min, 1000);
-  EXPECT_EQ(snap.hist.max, 1000);
+  snap = window();
+  EXPECT_EQ(snap.count, 1);
+  EXPECT_EQ(snap.min, 1000);
+  EXPECT_EQ(snap.max, 1000);
 
   // Fully expired window: the canonical empty snapshot (min/max 0).
   RollingClock::Tick();
-  snap = hist.WindowSnapshot();
-  EXPECT_EQ(snap.hist.count, 0);
-  EXPECT_EQ(snap.hist.sum, 0);
-  EXPECT_EQ(snap.hist.min, 0);
-  EXPECT_EQ(snap.hist.max, 0);
-  EXPECT_EQ(HistogramQuantile(snap.hist, 0.99), 0.0);
+  snap = window();
+  EXPECT_EQ(snap.count, 0);
+  EXPECT_EQ(snap.sum, 0);
+  EXPECT_EQ(snap.min, 0);
+  EXPECT_EQ(snap.max, 0);
+  EXPECT_TRUE(snap.buckets.empty());
+  EXPECT_EQ(HistogramQuantile(snap, 0.99), 0.0);
+  EXPECT_EQ(hist->Snapshot().count, 3);  // cumulative keeps every record
 }
 
 TEST(RollingTest, RegistryReturnsStableHandlesAndSortedSnapshots) {
   ClockGuard guard;
-  RollingRegistry registry;
-  RollingCounter* c = registry.counter("b.requests");
-  EXPECT_EQ(c, registry.counter("b.requests"));
-  registry.counter("a.nodes")->Add(3);
+  MetricsRegistry registry;
+  Counter* c = registry.counter("b.requests", kDefaultWindowTicks);
+  EXPECT_EQ(c, registry.counter("b.requests", kDefaultWindowTicks));
+  registry.counter("a.nodes", kDefaultWindowTicks)->Add(3);
+  registry.counter("z.cumulative_only")->Add(9);
   c->Add(1);
-  registry.histogram("lat_ns")->Record(50);
+  registry.histogram("lat_ns", kDefaultWindowTicks)->Record(50);
 
-  auto counters = registry.CounterSnapshots();
-  ASSERT_EQ(counters.size(), 2u);
-  EXPECT_EQ(counters.begin()->first, "a.nodes");  // name-sorted
-  EXPECT_EQ(counters.at("a.nodes").total, 3);
-  EXPECT_EQ(counters.at("b.requests").total, 1);
-  auto histograms = registry.HistogramSnapshots();
-  ASSERT_EQ(histograms.size(), 1u);
-  EXPECT_EQ(histograms.at("lat_ns").hist.count, 1);
+  MetricsSnapshot snap = registry.Snapshot();
+  // Windowed metrics appear in both views; cumulative-only ones in one.
+  ASSERT_EQ(snap.window_counters.size(), 2u);
+  EXPECT_EQ(snap.window_counters.begin()->first, "a.nodes");  // name-sorted
+  EXPECT_EQ(snap.window_counters.at("a.nodes").total, 3);
+  EXPECT_EQ(snap.window_counters.at("b.requests").total, 1);
+  EXPECT_EQ(snap.window_counters.at("b.requests").window, kDefaultWindowTicks);
+  EXPECT_EQ(snap.counters.size(), 3u);
+  EXPECT_EQ(snap.counters.at("a.nodes"), 3);
+  ASSERT_EQ(snap.window_histograms.size(), 1u);
+  EXPECT_EQ(snap.window_histograms.at("lat_ns").hist.count, 1);
+  EXPECT_EQ(snap.histograms.at("lat_ns").count, 1);
 
   registry.Reset();
-  EXPECT_EQ(registry.CounterSnapshots().at("a.nodes").total, 0);
+  snap = registry.Snapshot();
+  EXPECT_EQ(snap.window_counters.at("a.nodes").total, 0);
+  EXPECT_EQ(snap.counters.at("a.nodes"), 0);
+}
+
+TEST(RollingTest, RegistryRejectsASecondWindowForOneName) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  MetricsRegistry registry;
+  registry.counter("c", /*window_ticks=*/4);
+  registry.histogram("h", /*window_ticks=*/4);
+  registry.counter("plain");
+  EXPECT_EQ(registry.counter("c", 4)->window_ticks(), 4);
+  EXPECT_DEATH(registry.counter("c", 8), "metric 'c' has window 4");
+  EXPECT_DEATH(registry.counter("c"), "metric 'c' has window 4");
+  EXPECT_DEATH(registry.histogram("h"), "metric 'h' has window 4");
+  EXPECT_DEATH(registry.counter("plain", kDefaultWindowTicks),
+               "metric 'plain' has window 0");
 }
 
 // --------------------------------------------------------- exporter --
 
-// Feeds one deterministic workload into local registries, partitioned over
+// Feeds one deterministic workload into a local registry, partitioned over
 // `threads` workers: per tick, every update is issued (by whichever worker
 // owns it), then the main thread ticks the clock. The update multiset per
 // tick is identical for every thread count.
-void FeedWorkload(MetricsRegistry* metrics, RollingRegistry* rolling,
-                  int threads) {
+void FeedWorkload(MetricsRegistry* metrics, int threads) {
   for (int tick = 0; tick < 5; ++tick) {
     std::vector<std::thread> pool;
     for (int t = 0; t < threads; ++t) {
       pool.emplace_back([&, t] {
         for (int i = t; i < 64; i += threads) {
-          metrics->counter("serve.requests")->Increment();
-          metrics->histogram("time/serve.request_ns")->Record(1000 + 10 * i);
-          rolling->counter("serve.requests")->Increment();
-          rolling->histogram("serve.request_ns")->Record(1000 + 10 * i);
+          metrics->counter("serve.requests", kDefaultWindowTicks)
+              ->Increment();
+          metrics->histogram("time/serve_forward")->Record(1000 + 10 * i);
+          metrics->histogram("serve.request_ns", kDefaultWindowTicks)
+              ->Record(1000 + 10 * i);
         }
       });
     }
@@ -213,15 +259,12 @@ TEST(ExporterTest, SnapshotBytesAreThreadCountInvariant) {
   for (int threads : {1, 2, 4}) {
     RollingClock::ResetForTest();
     MetricsRegistry metrics;
-    RollingRegistry rolling;
-    FeedWorkload(&metrics, &rolling, threads);
-    const json::Value doc = MetricsExporter::SnapshotJson(
-        metrics.Snapshot(), rolling.CounterSnapshots(),
-        rolling.HistogramSnapshots(), RollingClock::Now(), /*sequence=*/1);
-    json_dumps.push_back(doc.Dump(1));
-    prom_dumps.push_back(MetricsExporter::PrometheusText(
-        metrics.Snapshot(), rolling.CounterSnapshots(),
-        rolling.HistogramSnapshots(), RollingClock::Now(), /*sequence=*/1));
+    FeedWorkload(&metrics, threads);
+    const MetricsSnapshot snapshot = metrics.Snapshot();
+    json_dumps.push_back(
+        MetricsExporter::SnapshotJson(snapshot, /*sequence=*/1).Dump(1));
+    prom_dumps.push_back(
+        MetricsExporter::PrometheusText(snapshot, /*sequence=*/1));
   }
   EXPECT_EQ(json_dumps[0], json_dumps[1]);
   EXPECT_EQ(json_dumps[0], json_dumps[2]);
@@ -232,25 +275,29 @@ TEST(ExporterTest, SnapshotBytesAreThreadCountInvariant) {
 TEST(ExporterTest, SnapshotJsonCarriesSchemaAndWindows) {
   ClockGuard guard;
   MetricsRegistry metrics;
-  RollingRegistry rolling;
-  FeedWorkload(&metrics, &rolling, 1);
+  FeedWorkload(&metrics, 1);
 
-  const json::Value doc = MetricsExporter::SnapshotJson(
-      metrics.Snapshot(), rolling.CounterSnapshots(),
-      rolling.HistogramSnapshots(), RollingClock::Now(), /*sequence=*/3);
+  const json::Value doc =
+      MetricsExporter::SnapshotJson(metrics.Snapshot(), /*sequence=*/3);
   EXPECT_EQ(doc.at("schema").AsString(), "openima-metrics-snapshot");
   EXPECT_EQ(doc.at("sequence").AsInt(), 3);
   EXPECT_EQ(doc.at("tick").AsInt(), 5);
   EXPECT_EQ(doc.at("counters").at("serve.requests").AsInt(), 5 * 64);
   EXPECT_TRUE(doc.at("gauges").Has("train.loss"));
 
-  const json::Value& hist = doc.at("histograms").at("time/serve.request_ns");
+  const json::Value& hist = doc.at("histograms").at("time/serve_forward");
   EXPECT_EQ(hist.at("count").AsInt(), 5 * 64);
   EXPECT_GE(hist.at("p999").AsDouble(), hist.at("p50").AsDouble());
+  // A windowed histogram's cumulative view sits with the others.
+  EXPECT_EQ(doc.at("histograms").at("serve.request_ns").at("count").AsInt(),
+            5 * 64);
+  EXPECT_FALSE(doc.at("windows").at("histograms").Has("time/serve_forward"));
 
   const json::Value& wc = doc.at("windows").at("counters").at("serve.requests");
   EXPECT_EQ(wc.at("window").AsInt(), kDefaultWindowTicks);
   EXPECT_EQ(wc.at("total").AsInt(), 5 * 64);
+  EXPECT_DOUBLE_EQ(wc.at("rate_per_tick").AsDouble(),
+                   5.0 * 64 / kDefaultWindowTicks);
   const json::Value& wh =
       doc.at("windows").at("histograms").at("serve.request_ns");
   EXPECT_EQ(wh.at("count").AsInt(), 5 * 64);
@@ -260,13 +307,11 @@ TEST(ExporterTest, SnapshotJsonCarriesSchemaAndWindows) {
 TEST(ExporterTest, PrometheusTextExposesCumulativeBuckets) {
   ClockGuard guard;
   MetricsRegistry metrics;
-  RollingRegistry rolling;
   metrics.counter("serve.requests")->Add(7);
   metrics.histogram("time/forward_ns")->Record(3);
 
-  const std::string text = MetricsExporter::PrometheusText(
-      metrics.Snapshot(), rolling.CounterSnapshots(),
-      rolling.HistogramSnapshots(), /*tick=*/0, /*sequence=*/1);
+  const std::string text =
+      MetricsExporter::PrometheusText(metrics.Snapshot(), /*sequence=*/1);
   EXPECT_NE(text.find("# TYPE openima_serve_requests counter"),
             std::string::npos);
   EXPECT_NE(text.find("openima_serve_requests 7"), std::string::npos);
@@ -280,13 +325,11 @@ TEST(ExporterTest, PrometheusTextExposesCumulativeBuckets) {
 TEST(ExporterTest, ExportNowRoundTripsAndValidates) {
   ClockGuard guard;
   MetricsRegistry metrics;
-  RollingRegistry rolling;
-  FeedWorkload(&metrics, &rolling, 2);
+  FeedWorkload(&metrics, 2);
 
   ExporterOptions options;
   options.path = TempPath("live_obs_export.json");
   options.registry = &metrics;
-  options.rolling = &rolling;
   MetricsExporter exporter(options);
   ASSERT_TRUE(exporter.ExportNow().ok());
 
@@ -315,14 +358,12 @@ TEST(ExporterTest, BackgroundThreadWritesAndStops) {
   if (!kCompiledIn) GTEST_SKIP() << "exporter thread needs OPENIMA_OBS=ON";
   ClockGuard guard;
   MetricsRegistry metrics;
-  RollingRegistry rolling;
   metrics.counter("beat")->Add(1);
 
   ExporterOptions options;
   options.path = TempPath("live_obs_bg.json");
   options.interval_ms = 3600 * 1000;  // rely on Notify + final export only
   options.registry = &metrics;
-  options.rolling = &rolling;
   MetricsExporter exporter(options);
   ASSERT_TRUE(exporter.Start().ok());
   ASSERT_TRUE(exporter.Start().ok());  // idempotent
@@ -335,6 +376,30 @@ TEST(ExporterTest, BackgroundThreadWritesAndStops) {
   EXPECT_EQ(doc->at("schema").AsString(), "openima-metrics-snapshot");
   std::remove(options.path.c_str());
   std::remove((options.path + ".prom").c_str());
+}
+
+// A malformed or out-of-range OPENIMA_METRICS_EXPORT_INTERVAL_MS keeps the
+// 1000 ms default instead of collapsing to a 1 ms export loop.
+TEST(ExporterTest, EnvIntervalKeepsDefaultOnMalformedValues) {
+  if (!kCompiledIn) GTEST_SKIP() << "exporter needs OPENIMA_OBS=ON";
+  const std::string path = TempPath("live_obs_env.json");
+  ::setenv("OPENIMA_METRICS_EXPORT", path.c_str(), 1);
+  for (const char* bad : {"abc", "0", "-5", "250ms"}) {
+    ::setenv("OPENIMA_METRICS_EXPORT_INTERVAL_MS", bad, 1);
+    InitExporterFromEnv();
+    ASSERT_NE(GlobalMetricsExporter(), nullptr) << bad;
+    EXPECT_EQ(GlobalMetricsExporter()->options().interval_ms, 1000) << bad;
+    StopMetricsExporter();
+  }
+  ::setenv("OPENIMA_METRICS_EXPORT_INTERVAL_MS", "250", 1);
+  InitExporterFromEnv();
+  ASSERT_NE(GlobalMetricsExporter(), nullptr);
+  EXPECT_EQ(GlobalMetricsExporter()->options().interval_ms, 250);
+  StopMetricsExporter();
+  ::unsetenv("OPENIMA_METRICS_EXPORT");
+  ::unsetenv("OPENIMA_METRICS_EXPORT_INTERVAL_MS");
+  std::remove(path.c_str());
+  std::remove((path + ".prom").c_str());
 }
 
 // ------------------------------------------------------ drift monitor --
@@ -428,9 +493,36 @@ TEST(DriftTest, OptionsFromEnvParsePolicyAndKnobs) {
   EXPECT_EQ(options.window, 33);
   EXPECT_DOUBLE_EQ(options.novel_fraction_delta, 0.25);
 
+  // Malformed or out-of-range knobs keep their defaults (with a stderr
+  // note naming the variable) instead of parsing as 0.
+  const DriftMonitorOptions defaults;
+  const char* knobs[] = {"OPENIMA_DRIFT_WINDOW", "OPENIMA_DRIFT_NOVEL_DELTA",
+                         "OPENIMA_DRIFT_ENTROPY_DELTA",
+                         "OPENIMA_DRIFT_DISTANCE_DELTA"};
+  for (const char* bad : {"abc", "-1", "0.2x"}) {
+    for (const char* knob : knobs) ::setenv(knob, bad, 1);
+    options = DriftOptionsFromEnv();
+    EXPECT_EQ(options.window, defaults.window) << bad;
+    EXPECT_DOUBLE_EQ(options.novel_fraction_delta,
+                     defaults.novel_fraction_delta) << bad;
+    EXPECT_DOUBLE_EQ(options.entropy_delta, defaults.entropy_delta) << bad;
+    EXPECT_DOUBLE_EQ(options.distance_rel_delta, defaults.distance_rel_delta)
+        << bad;
+  }
+  ::setenv("OPENIMA_DRIFT_WINDOW", "2.5", 1);  // windows are whole numbers
+  EXPECT_EQ(DriftOptionsFromEnv().window, defaults.window);
+
+  // `inf` is in range for a delta (it switches that alert off), not for
+  // the window.
+  for (const char* knob : knobs) ::setenv(knob, "inf", 1);
+  options = DriftOptionsFromEnv();
+  EXPECT_EQ(options.window, defaults.window);
+  EXPECT_TRUE(std::isinf(options.novel_fraction_delta));
+  EXPECT_TRUE(std::isinf(options.entropy_delta));
+  EXPECT_TRUE(std::isinf(options.distance_rel_delta));
+
   ::unsetenv("OPENIMA_DRIFT");
-  ::unsetenv("OPENIMA_DRIFT_WINDOW");
-  ::unsetenv("OPENIMA_DRIFT_NOVEL_DELTA");
+  for (const char* knob : knobs) ::unsetenv(knob);
   EXPECT_EQ(DriftOptionsFromEnv().policy, WatchdogPolicy::kOff);
 }
 

@@ -26,6 +26,15 @@ std::string ReadFileOrDie(const std::string& path) {
   return out.str();
 }
 
+// /dev/full accepts opens and fails every flush with ENOSPC: the writers'
+// full-disk path.
+bool DevFullAvailable() {
+  std::FILE* f = std::fopen("/dev/full", "w");
+  if (f == nullptr) return false;
+  std::fclose(f);
+  return true;
+}
+
 // ---------------------------------------------------------------- JSON --
 
 TEST(JsonTest, RoundTripAllTypes) {
@@ -300,17 +309,15 @@ TEST(SpanTest, TraceFileIsWellFormedAndNested) {
   std::remove(path.c_str());
 }
 
-TEST(SpanTest, ScopedTimerRecordsVerbatimName) {
-  MetricsRegistry::Global()->Reset();
-  {
-    Phase outer("timer_outer");
-    ScopedTimer timer("custom.timer");
-  }
-  MetricsSnapshot snap = MetricsRegistry::Global()->Snapshot();
-  // No "time/" prefix and no nesting for ad-hoc timers.
-  ASSERT_TRUE(snap.histograms.count("custom.timer"));
-  EXPECT_EQ(snap.histograms.at("custom.timer").count, 1);
-  EXPECT_FALSE(snap.histograms.count("time/timer_outer/custom.timer"));
+// A trace whose file cannot be written reports the failure instead of
+// dropping the events silently.
+TEST(SpanTest, StopTracingReportsWriteFailure) {
+  if (!DevFullAvailable()) GTEST_SKIP() << "needs /dev/full";
+  ResetTraceForTest();
+  ASSERT_TRUE(StartTracing("/dev/full").ok());
+  { Phase phase("trace_to_full_disk"); }
+  const Status status = StopTracing();
+  EXPECT_EQ(status.code(), StatusCode::kIOError) << status.ToString();
 }
 
 #else  // !OPENIMA_OBS_ENABLED
@@ -321,9 +328,10 @@ TEST(SpanTest, CompiledOutMacrosAreNoOps) {
     OPENIMA_OBS_PHASE("disabled_phase");
     OPENIMA_OBS_COUNT("disabled.count", 1);
     OPENIMA_OBS_GAUGE("disabled.gauge", 1.0);
-    OPENIMA_OBS_RECORD("disabled.histogram", 1);
+    OPENIMA_OBS_WINDOWED_COUNT("disabled.windowed", 1);
+    OPENIMA_OBS_TICK();
     Phase phase("disabled_phase_object");
-    ScopedTimer timer("disabled_timer_object");
+    RequestTrace request("disabled_request", "disabled.request_ns");
   }
   EXPECT_TRUE(MetricsRegistry::Global()->Snapshot().empty());
   EXPECT_TRUE(PhaseBreakdown().empty());
@@ -370,6 +378,13 @@ TEST(ReportTest, WriteFileMatchesToJson) {
   ASSERT_TRUE(from_disk.ok());
   EXPECT_TRUE(*from_disk == report.root());
   std::remove(path.c_str());
+}
+
+TEST(ReportTest, WriteFileReportsFullDisk) {
+  if (!DevFullAvailable()) GTEST_SKIP() << "needs /dev/full";
+  RunReport report("obs_test_full_disk");
+  const Status status = report.WriteFile("/dev/full");
+  EXPECT_EQ(status.code(), StatusCode::kIOError) << status.ToString();
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -309,6 +310,23 @@ TEST(TelemetryGlobalSinkTest, DoubleStartFailsAndLabelSticks) {
   EXPECT_EQ(label->AsString(), "cora/OpenIMA/seed0");
 }
 
+// A full disk fails the append (the flush is checked) instead of training on
+// with every record lost.
+TEST(TelemetryGlobalSinkTest, AppendReportsFullDisk) {
+  if (!obs::kCompiledIn) GTEST_SKIP() << "telemetry needs OPENIMA_OBS=ON";
+  std::FILE* probe = std::fopen("/dev/full", "w");
+  if (probe == nullptr) GTEST_SKIP() << "needs /dev/full";
+  std::fclose(probe);
+  ASSERT_TRUE(obs::StartTelemetry("/dev/full").ok());
+  obs::EpochRecord r;
+  r.trainer = "OpenIMA";
+  r.loss = 1.0;
+  const Status status = obs::AppendTelemetry(r);
+  EXPECT_EQ(status.code(), StatusCode::kIOError) << status.ToString();
+  { const Status ignored = obs::StopTelemetry(); (void)ignored; }
+  EXPECT_FALSE(obs::TelemetryEnabled());
+}
+
 // ---------------------------------------------------------------------------
 // Numeric-health watchdog: NaN/Inf injection under each policy.
 // ---------------------------------------------------------------------------
@@ -414,6 +432,25 @@ TEST_F(WatchdogTest, ParsePolicyNames) {
   EXPECT_EQ(*p, obs::WatchdogPolicy::kAbort);
   EXPECT_STREQ(obs::WatchdogPolicyName(*p), "abort");
   EXPECT_FALSE(obs::ParseWatchdogPolicy("loudly").ok());
+}
+
+TEST_F(WatchdogTest, EnvMaxNormTakesAnyPositiveLimitIncludingInf) {
+  ::setenv("OPENIMA_WATCHDOG", "record", 1);
+  ::setenv("OPENIMA_WATCHDOG_MAX_NORM", "inf", 1);
+  obs::InitWatchdogFromEnv();
+  EXPECT_TRUE(std::isinf(obs::Watchdog::options().max_grad_norm));
+  obs::Watchdog::CheckNorm("test.norm", 1e300);  // norm check switched off
+  EXPECT_EQ(obs::Watchdog::events(), 0);
+  ::setenv("OPENIMA_WATCHDOG_MAX_NORM", "250", 1);
+  obs::InitWatchdogFromEnv();
+  EXPECT_EQ(obs::Watchdog::options().max_grad_norm, 250.0);
+  for (const char* bad : {"abc", "0", "-3", "nan", "5x"}) {
+    ::setenv("OPENIMA_WATCHDOG_MAX_NORM", bad, 1);
+    obs::InitWatchdogFromEnv();
+    EXPECT_EQ(obs::Watchdog::options().max_grad_norm, 1e8) << bad;
+  }
+  ::unsetenv("OPENIMA_WATCHDOG");
+  ::unsetenv("OPENIMA_WATCHDOG_MAX_NORM");
 }
 
 #endif  // OPENIMA_OBS_ENABLED
