@@ -78,7 +78,7 @@ int Run(int argc, char** argv) {
       "Expected shape (paper, §V-A): plain K-Means beats the semi-supervised\n"
       "constrained variant, whose pinned labeled points drag diverse classes\n"
       "together; the paper's encoder is GAT.\n");
-  return 0;
+  return bench::Finish();
 }
 
 }  // namespace

@@ -72,7 +72,7 @@ int Run(int argc, char** argv) {
       "ladder while novel accuracy falls; OpenIMA keeps imbalance below the\n"
       "+SupCon/+CE variants while reaching the highest separation and the\n"
       "best seen AND novel accuracies.\n");
-  return 0;
+  return bench::Finish();
 }
 
 }  // namespace

@@ -78,7 +78,7 @@ int Run(int argc, char** argv) {
       "accuracy but large eta over-fits the seen classes and hurts novel\n"
       "accuracy; on Coauthor Physics a large eta helps both. Moderate rho\n"
       "helps; rho = 100%% admits noisy pseudo labels and degrades.\n");
-  return 0;
+  return bench::Finish();
 }
 
 }  // namespace

@@ -454,10 +454,9 @@ BENCHMARK(BM_TrainEpochLiveObs)->Arg(500)->Arg(1000)->Arg(2000);
 
 // ---------------------------------------------------------------------------
 // Per-kernel-backend benchmarks: one row per backend registered at runtime
-// (scalar always; avx2 when the host CPU qualifies), so BENCH_kernels.json
-// carries backend-suffixed entries — BM_GemmBackend/scalar/256 vs
-// BM_GemmBackend/avx2/256 — that run_benches.sh records and
-// `run_diff --validate` checks. Registered dynamically because the backend
+// (scalar always; avx2 when the host CPU qualifies), so the output carries
+// backend-suffixed rows — BM_GemmBackend/scalar/256 vs
+// BM_GemmBackend/avx2/256. Registered dynamically because the backend
 // list is a CPUID-time fact, not a compile-time one. Single-threaded with
 // the backend pinned on the context, so the gap is pure kernel codegen.
 
@@ -539,7 +538,7 @@ void TrainEpochBackendBody(benchmark::State& state,
 /// Neighbor sampling of one 2-layer fanout-10 block per iteration. The
 /// sampler's counter-based draws are backend-independent; the per-backend
 /// rows pin that its cost stays flat when the rest of the pipeline switches
-/// codegen (it shares BENCH_kernels.json with the kernels it feeds).
+/// codegen.
 void SampleBackendBody(benchmark::State& state,
                        const la::backend::KernelBackend* be) {
   const int n = static_cast<int>(state.range(0));

@@ -6,7 +6,7 @@
 // tools/sampled_quality_tolerances.json`: sampling is a gradient estimator,
 // not a bit-identical rewrite, so the gate bounds the open-world accuracy
 // gap instead of demanding equality (wired as the sampled_quality_diff
-// ctest fixture; see run_benches.sh for the committed-artifact flow).
+// ctest fixture).
 //
 // Run: ./bench_sampled_quality --out-full=BENCH_quality_full.json \
 //                              --out-sampled=BENCH_quality_sampled.json
@@ -23,28 +23,9 @@
 #include "src/obs/json.h"
 #include "src/util/flags.h"
 
-namespace {
-
-using openima::obs::json::Value;
-
-bool WriteDoc(const std::string& path, Value doc) {
-  const std::string text = doc.Dump(1);
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr ||
-      std::fwrite(text.data(), 1, text.size(), f) != text.size()) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    if (f != nullptr) std::fclose(f);
-    return false;
-  }
-  std::fputc('\n', f);
-  std::fclose(f);
-  return true;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace openima;
+  using obs::json::Value;
 
   Flags flags(argc, argv);
   eval::ExperimentOptions options = bench::OptionsFromFlags(flags);
@@ -94,7 +75,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  auto make_doc = [&](Value runs) {
+  auto write_doc = [&](const std::string& path, Value runs) {
     Value doc = Value::Object();
     doc.Set("schema", Value::Str("openima-bench-train"));
     Value run_meta = Value::Object();
@@ -103,11 +84,16 @@ int main(int argc, char** argv) {
     run_meta.Set("batch_nodes", Value::Int(batch_nodes));
     doc.Set("run", std::move(run_meta));
     doc.Set("runs", std::move(runs));
-    return doc;
+    if (Status s = obs::WriteTextFile(path, doc.Dump(1) + "\n"); !s.ok()) {
+      std::fprintf(stderr, "%s\n", s.ToString().c_str());
+      return false;
+    }
+    std::printf("wrote %s\n", path.c_str());
+    return true;
   };
-  if (!WriteDoc(out_full, make_doc(std::move(full_runs)))) return 1;
-  std::printf("wrote %s\n", out_full.c_str());
-  if (!WriteDoc(out_sampled, make_doc(std::move(sampled_runs)))) return 1;
-  std::printf("wrote %s\n", out_sampled.c_str());
-  return 0;
+  if (!write_doc(out_full, std::move(full_runs)) ||
+      !write_doc(out_sampled, std::move(sampled_runs))) {
+    return 1;
+  }
+  return bench::Finish();
 }

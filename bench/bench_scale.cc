@@ -1,14 +1,13 @@
 // Full-scale sampled-training benchmark: trains OpenIMA end to end
 // (training + pseudo-label refresh + open-world eval) on an *unscaled*
 // ogbn-arxiv-sized synthetic graph — 169,343 nodes, ~1.17M undirected
-// edges — in neighbor-sampled minibatch mode, and records the scaling
-// numbers the full-graph trainer cannot produce at this size: peak RSS,
-// per-epoch wall time and seed-node throughput. By default the run is a
-// worker sweep — the serial trainer followed by the deterministic
-// data-parallel trainer at 8 workers (DESIGN.md §2.8) — so the committed
-// record carries the scaling row next to its serial baseline.
+// edges — in neighbor-sampled minibatch mode, and prints the scaling
+// numbers the full-graph trainer cannot produce at this size: per-epoch
+// wall time, seed-node throughput, accuracy and peak RSS. By default the
+// run is a worker sweep — the serial trainer followed by the deterministic
+// data-parallel trainer at 8 workers (DESIGN.md §2.8).
 //
-// Run (writes the committed record): ./bench_scale --bench-json=BENCH_scale.json
+// Run: ./bench_scale
 // Knobs:
 //   --scale=1.0 --features=128          # graph size / feature cap
 //   --epochs=3 --sample-fanout=10 --batch-nodes=1024
@@ -18,13 +17,8 @@
 //                                       # env; flag wins)
 //   --workers-list=0,8                  # sweep rows (0 = serial trainer)
 //
-// The JSON uses the "openima-bench-train" schema (EXPERIMENTS.md). Timing
-// fields carry their aggregation in the name: whole-run totals end in _ms
-// (train_ms, epoch_ms, sample_total_ms, gather_total_ms — run_diff ignores
-// *_ms by default) and per-batch phase means end in _ms_per_batch (also in
-// run_diff's default ignore set). The machine-dependent peak_rss_mib /
-// nodes_per_sec fields are default-ignored too; the "final" block is the
-// regression-gated payload.
+// Peak RSS is the process high-water mark, so a sweep row also carries
+// the rows before it; run one --workers value per process to isolate it.
 
 #include <sys/resource.h>
 
@@ -50,33 +44,6 @@ double PeakRssMib() {
   if (getrusage(RUSAGE_SELF, &usage) != 0) return -1.0;
   // Linux reports ru_maxrss in KiB.
   return static_cast<double>(usage.ru_maxrss) / 1024.0;
-}
-
-/// Cumulative sample/gather phase totals from the global metrics registry
-/// (nanoseconds + event counts). The registry accumulates across runs, so
-/// per-run numbers are snapshot diffs. Matching by suffix covers both the
-/// serial trainer's "train/epoch/sample" path and the data-parallel
-/// workers' "worker/sample".
-struct PhaseTotals {
-  double sample_ns = 0, gather_ns = 0;
-  long long sample_count = 0, gather_count = 0;
-};
-
-PhaseTotals SnapshotPhases() {
-  PhaseTotals t;
-  const openima::obs::MetricsSnapshot snap =
-      openima::obs::MetricsRegistry::Global()->Snapshot();
-  for (const auto& [hist_name, hist] : snap.histograms) {
-    if (hist.count == 0) continue;
-    if (hist_name.ends_with("/sample")) {
-      t.sample_ns += static_cast<double>(hist.sum);
-      t.sample_count += hist.count;
-    } else if (hist_name.ends_with("/gather")) {
-      t.gather_ns += static_cast<double>(hist.sum);
-      t.gather_count += hist.count;
-    }
-  }
-  return t;
 }
 
 }  // namespace
@@ -136,10 +103,9 @@ int main(int argc, char** argv) {
   config.batch_nodes = flags.GetInt("batch-nodes", 1024);
   config.pseudo_warmup_epochs = 1;
 
-  // Worker counts to record: an explicit --workers (or a deliberate
-  // OPENIMA_WORKERS env on an ad-hoc run; run_benches.sh refuses a leaked
-  // one) pins a single row, otherwise the default sweep pairs the serial
-  // trainer with the 8-worker data-parallel row.
+  // Worker counts to run: an explicit --workers (or OPENIMA_WORKERS) pins
+  // a single row, otherwise the default sweep pairs the serial trainer
+  // with the 8-worker data-parallel row.
   const auto env_int = [](const char* name, int fallback) {
     const char* v = std::getenv(name);
     return v == nullptr ? fallback : std::atoi(v);
@@ -155,8 +121,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  using obs::json::Value;
-  Value runs = Value::Array();
   for (const int workers : worker_counts) {
     config.workers = workers;
     std::printf("sampled training: fanout %d, %d seed nodes/batch, %d "
@@ -164,7 +128,6 @@ int main(int argc, char** argv) {
                 config.sample_fanout, config.batch_nodes, config.epochs,
                 config.workers);
 
-    const PhaseTotals before = SnapshotPhases();
     core::OpenImaModel model(config, dataset->feature_dim(), /*seed=*/1);
     Stopwatch train_watch;
     if (Status s = model.Train(*dataset, *split); !s.ok()) {
@@ -172,7 +135,6 @@ int main(int argc, char** argv) {
       return 1;
     }
     const double train_ms = train_watch.ElapsedMillis();
-    const PhaseTotals after = SnapshotPhases();
 
     Stopwatch eval_watch;
     auto predictions = model.Predict(*dataset, *split);
@@ -210,76 +172,6 @@ int main(int argc, char** argv) {
         eval_ms / 1000.0, 100.0 * acc->all, 100.0 * acc->seen,
         100.0 * acc->novel);
     std::printf("peak RSS: %.0f MiB\n", peak_rss_mib);
-
-    Value entry = Value::Object();
-    entry.Set("name", Value::Str(workers > 0
-                                     ? "scale/ogbn_arxiv_sampled_dp" +
-                                           std::to_string(workers)
-                                     : "scale/ogbn_arxiv_sampled"));
-    entry.Set("epochs", Value::Int(config.epochs));
-    entry.Set("sample_fanout", Value::Int(config.sample_fanout));
-    entry.Set("batch_nodes", Value::Int(config.batch_nodes));
-    entry.Set("workers", Value::Int(workers));
-    entry.Set("generate_ms", Value::Double(gen_ms));
-    entry.Set("train_ms", Value::Double(train_ms));
-    entry.Set("epoch_ms", Value::Double(epoch_ms));
-    entry.Set("eval_ms", Value::Double(eval_ms));
-    entry.Set("peak_rss_mib", Value::Double(peak_rss_mib));
-    entry.Set("nodes_per_sec", Value::Double(nodes_per_sec));
-    // Phase timings for this run's sampled loop, in BOTH aggregations:
-    // per-batch means (what a kernel change moves) and whole-run totals
-    // (what the epoch wall time is made of) — the bare ambiguous
-    // sample_ms/gather_ms keys are retired.
-    const double sample_ns = after.sample_ns - before.sample_ns;
-    const double gather_ns = after.gather_ns - before.gather_ns;
-    const long long sample_n = after.sample_count - before.sample_count;
-    const long long gather_n = after.gather_count - before.gather_count;
-    if (sample_n > 0) {
-      entry.Set("sample_ms_per_batch",
-                Value::Double(sample_ns / static_cast<double>(sample_n) / 1e6));
-      entry.Set("sample_total_ms", Value::Double(sample_ns / 1e6));
-    }
-    if (gather_n > 0) {
-      entry.Set("gather_ms_per_batch",
-                Value::Double(gather_ns / static_cast<double>(gather_n) / 1e6));
-      entry.Set("gather_total_ms", Value::Double(gather_ns / 1e6));
-    }
-    Value final_metrics = Value::Object();
-    final_metrics.Set("loss",
-                      Value::Double(model.train_stats().epoch_losses.back()));
-    final_metrics.Set(
-        "pseudo_labels",
-        Value::Int(model.train_stats().pseudo_labeled_last_epoch));
-    final_metrics.Set("acc_all", Value::Double(acc->all));
-    final_metrics.Set("acc_seen", Value::Double(acc->seen));
-    final_metrics.Set("acc_novel", Value::Double(acc->novel));
-    entry.Set("final", std::move(final_metrics));
-    runs.Append(std::move(entry));
-  }
-
-  const std::string bench_json_path = flags.GetString("bench-json", "");
-  if (!bench_json_path.empty()) {
-    Value doc = Value::Object();
-    doc.Set("schema", Value::Str("openima-bench-train"));
-    Value run_meta = Value::Object();
-    run_meta.Set("dataset", Value::Str(dataset->name));
-    run_meta.Set("num_nodes", Value::Int(dataset->num_nodes()));
-    run_meta.Set("mode", Value::Str("sampled"));
-    doc.Set("run", std::move(run_meta));
-    doc.Set("runs", std::move(runs));
-
-    const std::string text = doc.Dump(1);
-    std::FILE* f = std::fopen(bench_json_path.c_str(), "w");
-    if (f == nullptr ||
-        std::fwrite(text.data(), 1, text.size(), f) != text.size()) {
-      std::fprintf(stderr, "bench-json: cannot write %s\n",
-                   bench_json_path.c_str());
-      if (f != nullptr) std::fclose(f);
-      return 1;
-    }
-    std::fputc('\n', f);
-    std::fclose(f);
-    std::printf("wrote scale benchmark to %s\n", bench_json_path.c_str());
   }
   return 0;
 }

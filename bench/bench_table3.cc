@@ -152,7 +152,7 @@ int Run(int argc, char** argv) {
       "accuracy on every dataset, balancing seen and novel classes; the\n"
       "C+1 extensions (OODGAT/OpenWGL) and vision-born open-world SSL\n"
       "baselines trail it without pre-trained encoders.\n");
-  return 0;
+  return bench::Finish();
 }
 
 }  // namespace

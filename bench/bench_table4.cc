@@ -80,7 +80,7 @@ int Run(int argc, char** argv) {
   std::printf(
       "Expected shape (paper): OpenIMA keeps the best overall accuracy on\n"
       "both large graphs, with the largest margin on ogbn-Products.\n");
-  return 0;
+  return bench::Finish();
 }
 
 }  // namespace

@@ -116,7 +116,7 @@ int Run(int argc, char** argv) {
       "\nExpected shape (paper): CE alone is weakest (unlabeled data\n"
       "unused); adding CE helps the BPCL variants; removing the\n"
       "bias-reduced pseudo labels (w/o PL) degrades the full model.\n");
-  return 0;
+  return bench::Finish();
 }
 
 }  // namespace

@@ -159,7 +159,7 @@ int Run(int argc, char** argv) {
       "Expected shape (paper): OpenIMA keeps the best overall accuracy on\n"
       "most datasets even when the novel-class count must be selected by\n"
       "SC&ACC rather than given.\n");
-  return 0;
+  return bench::Finish();
 }
 
 }  // namespace

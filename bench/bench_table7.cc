@@ -149,7 +149,7 @@ int Run(int argc, char** argv) {
       "\nExpected shape (paper): selecting by validation ACC biases models\n"
       "toward seen classes (larger Gap); SC favors balanced but sometimes\n"
       "weak models; SC&ACC is the most stable across methods.\n");
-  return 0;
+  return bench::Finish();
 }
 
 }  // namespace

@@ -78,6 +78,17 @@ inline void PrintNote(const std::string& note) {
   std::printf("%s\n", note.c_str());
 }
 
+/// The benches' common epilogue (`return bench::Finish();`): writes the
+/// --trace / OPENIMA_TRACE file now rather than from the exit hook, so a
+/// trace that cannot be written fails the run.
+inline int Finish() {
+  if (Status s = obs::StopTracing(); !s.ok()) {
+    std::fprintf(stderr, "trace: %s\n", s.ToString().c_str());
+    return 1;
+  }
+  return 0;
+}
+
 }  // namespace openima::bench
 
 #endif  // OPENIMA_BENCH_BENCH_UTIL_H_

@@ -15,7 +15,6 @@
 //   ./quickstart --report=report.json     # machine-readable RunReport
 //   ./quickstart --telemetry=run.jsonl    # per-epoch training time-series
 //   ./quickstart --watchdog=abort         # NaN/Inf + norm-explosion guard
-//   ./quickstart --bench-json=BENCH_train.json  # e2e training benchmark
 //   ./quickstart --obs-smoke              # CI check: report round-trips
 //   ./quickstart --backend=scalar         # pin the kernel backend
 //                                         # (auto|scalar|avx2; exit 77 when
@@ -53,7 +52,6 @@
 #include "src/metrics/clustering_accuracy.h"
 #include "src/obs/obs.h"
 #include "src/util/flags.h"
-#include "src/util/stopwatch.h"
 
 int main(int argc, char** argv) {
   using namespace openima;
@@ -116,7 +114,6 @@ int main(int argc, char** argv) {
   }
   const bool obs_smoke = flags.GetBool("obs-smoke", false);
   const std::string report_path = flags.GetString("report", "");
-  const std::string bench_json_path = flags.GetString("bench-json", "");
 
   // 1. A small synthetic graph: 600 nodes, 6 classes, homophilous edges,
   //    class-conditional Gaussian features.
@@ -211,7 +208,6 @@ int main(int argc, char** argv) {
     std::printf("resumed from %s at epoch %d\n", resume_path.c_str(),
                 model.epochs_done());
   }
-  Stopwatch train_watch;
   // A fully trained checkpoint has no epochs left; Train() would
   // (correctly) refuse to run again.
   if (model.epochs_done() < config.epochs) {
@@ -220,7 +216,6 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  const double train_ms = train_watch.ElapsedMillis();
   if (!model.train_stats().epoch_losses.empty()) {
     std::printf("trained through epoch %d; final loss %.4f; %d pseudo labels\n",
                 model.epochs_done(),
@@ -332,63 +327,6 @@ int main(int argc, char** argv) {
     std::printf("wrote run report to %s\n", report_path.c_str());
   }
 
-  // 7. Optional end-to-end training benchmark record ("openima-bench-train"
-  //    schema, see EXPERIMENTS.md). Timing fields end in "_ms" so
-  //    tools/run_diff ignores them by default; the "final" block is the
-  //    regression-gated payload.
-  if (!bench_json_path.empty()) {
-    Value entry = Value::Object();
-    entry.Set("name", Value::Str("quickstart/openima"));
-    entry.Set("epochs", Value::Int(config.epochs));
-    entry.Set("train_ms", Value::Double(train_ms));
-    double epoch_ms = train_ms / config.epochs;
-    const obs::MetricsSnapshot snap =
-        obs::MetricsRegistry::Global()->Snapshot();
-    for (const auto& [hist_name, hist] : snap.histograms) {
-      if (hist.count == 0) continue;
-      if (hist_name == "time/epoch" || hist_name.ends_with("/epoch")) {
-        epoch_ms = hist.Mean() / 1e6;
-      } else if (hist_name.ends_with("pseudo_label_refresh")) {
-        // Mean time of one pseudo-label refresh (K-Means + alignment).
-        entry.Set("refresh_ms", Value::Double(hist.Mean() / 1e6));
-      }
-    }
-    entry.Set("epoch_ms", Value::Double(epoch_ms));
-    Value final_metrics = Value::Object();
-    final_metrics.Set("loss",
-                      Value::Double(model.train_stats().epoch_losses.back()));
-    final_metrics.Set(
-        "pseudo_labels",
-        Value::Int(model.train_stats().pseudo_labeled_last_epoch));
-    final_metrics.Set("acc_all", Value::Double(acc->all));
-    final_metrics.Set("acc_seen", Value::Double(acc->seen));
-    final_metrics.Set("acc_novel", Value::Double(acc->novel));
-    entry.Set("final", std::move(final_metrics));
-
-    Value doc = Value::Object();
-    doc.Set("schema", Value::Str("openima-bench-train"));
-    Value run_meta = Value::Object();
-    run_meta.Set("dataset", Value::Str(dataset->name));
-    run_meta.Set("num_nodes", Value::Int(dataset->num_nodes()));
-    doc.Set("run", std::move(run_meta));
-    Value runs = Value::Array();
-    runs.Append(std::move(entry));
-    doc.Set("runs", std::move(runs));
-
-    const std::string text = doc.Dump(1);
-    std::FILE* f = std::fopen(bench_json_path.c_str(), "w");
-    if (f == nullptr ||
-        std::fwrite(text.data(), 1, text.size(), f) != text.size()) {
-      std::fprintf(stderr, "bench-json: cannot write %s\n",
-                   bench_json_path.c_str());
-      if (f != nullptr) std::fclose(f);
-      return 1;
-    }
-    std::fputc('\n', f);
-    std::fclose(f);
-    std::printf("wrote training benchmark to %s\n", bench_json_path.c_str());
-  }
-
   if (const std::string breakdown = obs::PhaseBreakdown(); !breakdown.empty()) {
     std::printf("\nphase breakdown:\n%s", breakdown.c_str());
   }
@@ -421,8 +359,12 @@ int main(int argc, char** argv) {
     std::printf("obs-smoke: ok\n");
   }
   if (!metrics_export.empty()) {
-    // Stop runs one final export, so the file on disk reflects the whole run.
-    obs::StopMetricsExporter();
+    // Stop runs one final export, so the file on disk reflects the whole
+    // run, and reports the first export that failed.
+    if (Status s = obs::StopMetricsExporter(); !s.ok()) {
+      std::fprintf(stderr, "metrics-export: %s\n", s.ToString().c_str());
+      return 1;
+    }
     std::printf("wrote metrics snapshot to %s (+ .prom)\n",
                 metrics_export.c_str());
   }

@@ -4,10 +4,9 @@
 # Ordered so the paper's main results come first.
 cd "$(dirname "$0")"
 
-# Benchmarks recorded from anything but a Release build are lies — refuse
-# to run. (bench/kernel_bench_output.txt and BENCH_kernels.json are
-# committed artifacts; a Debug recording would silently replace real
-# numbers with noise.)
+# Benchmarks run from anything but a Release build are lies — refuse to
+# run (a Debug build's tables would silently replace real numbers with
+# noise).
 build_type=$(grep -E '^CMAKE_BUILD_TYPE:' build/CMakeCache.txt 2>/dev/null \
              | cut -d= -f2)
 if [ "$build_type" != "Release" ]; then
@@ -29,23 +28,11 @@ if [ -n "$sanitize" ] && [ "$sanitize" != "OFF" ]; then
   exit 1
 fi
 
-# A leaked OPENIMA_WORKERS env silently turns every sampled run into
-# data-parallel mode — the recorded rows would claim to be the serial
-# baseline while measuring something else. Worker counts for committed
-# records must be explicit flags (bench_scale's default sweep covers the
-# data-parallel row).
-if [ -n "$OPENIMA_WORKERS" ]; then
-  echo "refusing to benchmark: OPENIMA_WORKERS=$OPENIMA_WORKERS is set —" \
-       "unset it; committed records pin worker counts via explicit flags" >&2
-  exit 1
-fi
-
-# Leaked trace/telemetry envs are worse than leaked worker counts: every
-# bench binary would append JSONL into the SAME file the env names,
-# corrupting whatever artifact it points at — and if the path lies outside
-# build/, the stray file lands in the worktree (or anywhere at all) where
-# it can get committed. Allow build/-internal paths (throwaway debugging),
-# refuse everything else.
+# Leaked trace/telemetry envs: every bench binary would append JSONL into
+# the SAME file the env names, corrupting whatever artifact it points at —
+# and if the path lies outside build/, the stray file lands in the worktree
+# (or anywhere at all) where it can get committed. Allow build/-internal
+# paths (throwaway debugging), refuse everything else.
 for var in OPENIMA_TRACE OPENIMA_TELEMETRY; do
   val=$(eval "echo \"\$$var\"")
   if [ -n "$val" ]; then
@@ -62,100 +49,9 @@ for var in OPENIMA_TRACE OPENIMA_TELEMETRY; do
   fi
 done
 
-# Native-arch builds are host-specific: the baseline codegen (and so the
-# scalar backend's numbers, plus the scalar-vs-avx2 backend gap) changes
-# with the build host's ISA, making the recorded BENCH_*.json incomparable
-# across machines. Warn loudly but keep going — a local throwaway
-# comparison is still legitimate.
-native=$(grep -E '^OPENIMA_NATIVE_ARCH:' build/CMakeCache.txt 2>/dev/null \
-         | cut -d= -f2)
-if [ "$native" = "ON" ]; then
-  echo "WARNING: build/ has OPENIMA_NATIVE_ARCH=ON (-march=native) —" \
-       "recorded numbers are specific to this host's ISA and the" \
-       "scalar-backend rows no longer reflect the portable baseline." \
-       "Do not commit BENCH_*.json from this build." >&2
-fi
-
 for b in bench_theorem1 bench_fig1b bench_table3 bench_table5 bench_fig2 \
          bench_table4 bench_table6 bench_table7 bench_ablation bench_micro; do
   echo "===== $b ====="
   ./build/bench/$b
   echo
 done
-
-# Kernel benchmarks: seed (naive) GEMM vs the blocked register-tiled kernel,
-# GAT fwd/bwd and one K-Means iteration under explicit thread counts, the
-# end-to-end training-epoch benchmark with the memory arena on/off, the
-# clustering fast paths (plain vs accelerated K-Means, scalar vs blocked
-# silhouette, cold vs warm-start novel-count sweep), and the per-kernel-
-# backend rows (BM_GemmBackend/BM_DistanceBackend/BM_TrainEpochBackend,
-# suffixed /scalar and — on qualifying hosts — /avx2; the avx2 rows are
-# simply absent elsewhere, so diffs across hosts stay well-defined).
-# The recorded human-readable run lives in bench/kernel_bench_output.txt;
-# the machine-readable record is BENCH_kernels.json at the repo root.
-echo "===== kernel benchmarks ====="
-./build/bench/bench_micro \
-  --benchmark_filter='Gemm|GatForwardBackwardThreads|KMeans|TrainEpoch|Silhouette|NovelCount|Backend' \
-  --benchmark_min_time=0.2 \
-  --benchmark_out=BENCH_kernels.json \
-  --benchmark_out_format=json
-
-# End-to-end training benchmark: the quickstart run with telemetry on,
-# recording epoch / pseudo-label-refresh timings and the final accuracies
-# (BENCH_train.json, "openima-bench-train" schema — see EXPERIMENTS.md).
-# Timing fields end in "_ms", which tools/run_diff ignores by default; the
-# "final" block is the regression-gated payload:
-#   ./build/tools/run_diff BENCH_train.json <old>/BENCH_train.json
-echo
-echo "===== training benchmark ====="
-# The telemetry series is a build artifact, not a committed record — keep
-# it under build/ so a run from the repo root cannot strand a stray
-# telemetry_train.jsonl in the worktree.
-./build/examples/quickstart \
-  --bench-json=BENCH_train.json \
-  --telemetry=build/telemetry_train.jsonl
-
-# Full-scale sampled-training benchmark: an unscaled ogbn-arxiv-sized
-# graph (169k nodes, ~1.17M edges) trained in neighbor-sampled minibatch
-# mode. Records peak RSS, per-epoch wall time and seed-node throughput to
-# BENCH_scale.json — numbers the full-graph trainer cannot produce at this
-# size on a CPU budget.
-echo
-echo "===== full-scale sampled training benchmark ====="
-./build/bench/bench_scale --bench-json=BENCH_scale.json
-
-# Frozen-model serving benchmark: train the quickstart model once to a
-# checkpoint (a build artifact, kept under build/ like the telemetry
-# series), then push batched classify requests through openima_serve —
-# per-batch-size p50/p99 latency, throughput, and phase timings, plus a
-# deterministic prediction checksum, into BENCH_serve.json
-# ("openima-bench-serve" schema — SERVING.md / EXPERIMENTS.md).
-echo
-echo "===== serving benchmark ====="
-./build/examples/quickstart --checkpoint-out=build/bench_serve_model.ckpt \
-  > /dev/null
-# Recorded with the live-observability stack on (metrics export + 1-in-64
-# request tracing + drift-free warmed sessions): the committed numbers are
-# the ones a production deployment with dashboards enabled would see. The
-# trace and metrics snapshots are build artifacts, kept under build/.
-OPENIMA_TRACE=build/serve_trace.json OPENIMA_TRACE_SAMPLE=64 \
-./build/tools/openima_serve \
-  --checkpoint=build/bench_serve_model.ckpt \
-  --warmup-requests=8 \
-  --metrics-export=build/serve_metrics.json \
-  --bench-json=BENCH_serve.json
-
-# Every machine-readable artifact this script emitted must parse as its
-# schema — catches a silently truncated/garbled recording before it gets
-# committed or compared. Validation failure fails the whole script (a
-# malformed artifact must never be committed because the recording step
-# happened to be the last command).
-echo
-echo "===== artifact validation ====="
-if ! ./build/tools/run_diff --validate \
-  BENCH_train.json BENCH_kernels.json BENCH_scale.json BENCH_serve.json \
-  build/telemetry_train.jsonl build/serve_metrics.json; then
-  echo "run_benches.sh: artifact validation FAILED — discard the" \
-       "artifacts above, do not commit them" >&2
-  exit 1
-fi

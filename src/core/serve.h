@@ -18,8 +18,7 @@
 /// answered through the trained encoder and the checkpointed K-Means
 /// centers + Hungarian alignment — the same two-stage rule Predict() uses,
 /// but per-request over sampled neighborhoods instead of a full-graph
-/// forward. `openima_serve` drives this from the command line and writes
-/// BENCH_serve.json.
+/// forward. `openima_serve` drives this from the command line.
 namespace openima::core {
 
 /// Inference configuration.

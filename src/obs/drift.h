@@ -81,9 +81,9 @@ struct DriftStats {
 /// the exporter/openima_top surface them live.
 ///
 /// Thread-safe: Observe takes a small mutex (the serve path is dominated by
-/// the forward pass, see BENCH_serve.json). Determinism: all signals are
-/// pure functions of the observation multiset per window, and windows close
-/// on exact observation counts — no wall clock anywhere.
+/// the forward pass). Determinism: all signals are pure functions of the
+/// observation multiset per window, and windows close on exact observation
+/// counts — no wall clock anywhere.
 class DriftMonitor {
  public:
   DriftMonitor(const DriftMonitorOptions& options, int num_classes);

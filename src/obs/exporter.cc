@@ -73,7 +73,6 @@ void SetMetricsJson(const MetricsSnapshot& snapshot, json::Value* out) {
 MetricsExporter::MetricsExporter(const ExporterOptions& options)
     : options_(options) {
   if (options_.registry == nullptr) options_.registry = MetricsRegistry::Global();
-  if (options_.interval_ms < 1) options_.interval_ms = 1;
 }
 
 MetricsExporter::~MetricsExporter() { Stop(); }
@@ -169,11 +168,7 @@ Status MetricsExporter::ExportNow() {
   if (options_.path.empty()) {
     return Status::InvalidArgument("exporter path is empty");
   }
-  int64_t sequence;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    sequence = ++sequence_;
-  }
+  const int64_t sequence = sequence_.fetch_add(1) + 1;
   const MetricsSnapshot snapshot = options_.registry->Snapshot();
   OPENIMA_RETURN_IF_ERROR(WriteAtomic(
       options_.path, SnapshotJson(snapshot, sequence).Dump(1) + "\n"));
@@ -186,29 +181,38 @@ Status MetricsExporter::ExportNow() {
 Status MetricsExporter::Start() {
   std::lock_guard<std::mutex> lock(mu_);
   if (running_) return Status::OK();
-  if (options_.path.empty()) {
-    return Status::InvalidArgument("exporter path is empty");
+  if (options_.interval_ms < 1) {
+    return Status::InvalidArgument(
+        "export interval must be at least 1 ms, got " +
+        std::to_string(options_.interval_ms));
   }
+  // The first snapshot is written here, so a path that cannot be written
+  // fails the caller instead of the background thread.
+  OPENIMA_RETURN_IF_ERROR(ExportNow());
   stop_ = false;
   running_ = true;
+  first_error_ = Status::OK();
   thread_ = std::thread([this] { ThreadMain(); });
   return Status::OK();
 }
 
-void MetricsExporter::Stop() {
+Status MetricsExporter::Stop() {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (!running_) return;
+    if (!running_) return Status::OK();
     stop_ = true;
   }
   cv_.notify_all();
   thread_.join();
+  Status first_error;
   {
     std::lock_guard<std::mutex> lock(mu_);
     running_ = false;
+    first_error = first_error_;
   }
   // Final export so the file on disk reflects the very end of the run.
-  { const Status ignored = ExportNow(); (void)ignored; }
+  Status final_status = ExportNow();
+  return first_error.ok() ? final_status : first_error;
 }
 
 void MetricsExporter::Notify() { cv_.notify_all(); }
@@ -216,11 +220,12 @@ void MetricsExporter::Notify() { cv_.notify_all(); }
 void MetricsExporter::ThreadMain() {
   std::unique_lock<std::mutex> lock(mu_);
   while (!stop_) {
-    lock.unlock();
-    { const Status ignored = ExportNow(); (void)ignored; }
-    lock.lock();
-    if (stop_) break;
     cv_.wait_for(lock, std::chrono::milliseconds(options_.interval_ms));
+    if (stop_) break;
+    lock.unlock();
+    Status status = ExportNow();
+    lock.lock();
+    if (first_error_.ok()) first_error_ = std::move(status);
   }
 }
 
@@ -248,13 +253,14 @@ Status StartMetricsExporter(const ExporterOptions& options) {
   return Status::OK();
 }
 
-void StopMetricsExporter() {
+Status StopMetricsExporter() {
   std::lock_guard<std::mutex> lock(g_exporter_mu);
-  if (g_exporter == nullptr) return;
+  if (g_exporter == nullptr) return Status::OK();
   g_exporter_fast.store(nullptr, std::memory_order_release);
-  g_exporter->Stop();
+  Status status = g_exporter->Stop();
   delete g_exporter;
   g_exporter = nullptr;
+  return status;
 }
 
 MetricsExporter* GlobalMetricsExporter() {
@@ -273,7 +279,9 @@ void InitExporterFromEnv() {
   options.path = path;
   ReadEnvKnob("OPENIMA_METRICS_EXPORT_INTERVAL_MS", 1, INT_MAX,
               &options.interval_ms);
-  { const Status ignored = StartMetricsExporter(options); (void)ignored; }
+  if (Status s = StartMetricsExporter(options); !s.ok()) {
+    std::fprintf(stderr, "OPENIMA_METRICS_EXPORT: %s\n", s.ToString().c_str());
+  }
 }
 
 #endif  // OPENIMA_OBS_ENABLED

@@ -43,11 +43,14 @@ class MetricsExporter {
   MetricsExporter(const MetricsExporter&) = delete;
   MetricsExporter& operator=(const MetricsExporter&) = delete;
 
-  /// Starts the periodic export thread (idempotent).
+  /// Writes the first snapshot, then starts the periodic export thread
+  /// (idempotent). Returns InvalidArgument for an interval below 1 ms, and
+  /// the first export's error; no thread is started on error.
   Status Start();
 
-  /// Stops the thread after one final export.
-  void Stop();
+  /// Stops the thread after one final export. Returns the first periodic
+  /// export that failed, else the final export's status.
+  Status Stop();
 
   /// Serializes and writes one snapshot pair (JSON + .prom) synchronously.
   /// Usable without Start() for end-of-run exports and tests.
@@ -80,9 +83,10 @@ class MetricsExporter {
   std::condition_variable cv_;
   bool stop_ = false;
   bool running_ = false;
+  Status first_error_;  ///< first failed periodic export, guarded by mu_
   std::thread thread_;
   std::atomic<int64_t> exports_done_{0};
-  int64_t sequence_ = 0;
+  std::atomic<int64_t> sequence_{0};
 };
 
 /// Sets the cumulative members of a snapshot document on the object `out`:
@@ -94,13 +98,14 @@ void SetMetricsJson(const MetricsSnapshot& snapshot, json::Value* out);
 #if OPENIMA_OBS_ENABLED
 
 /// Starts the process-global exporter (at most one; later calls replace the
-/// path only if none is running). Returns FailedPrecondition when one is
-/// already active.
+/// path only if none is running) after writing its first snapshot. Returns
+/// FailedPrecondition when one is already active, and MetricsExporter::
+/// Start's errors.
 Status StartMetricsExporter(const ExporterOptions& options);
 
-/// Stops and destroys the global exporter after a final export (no-op when
-/// none is running).
-void StopMetricsExporter();
+/// Stops and destroys the global exporter after a final export, returning
+/// MetricsExporter::Stop's status (OK when none is running).
+Status StopMetricsExporter();
 
 /// The running global exporter, or nullptr.
 MetricsExporter* GlobalMetricsExporter();
@@ -111,7 +116,8 @@ void NotifyMetricsExporter();
 
 /// Reads OPENIMA_METRICS_EXPORT (snapshot path; empty/unset disables) and
 /// OPENIMA_METRICS_EXPORT_INTERVAL_MS (default 1000) and starts the global
-/// exporter. Called from InitFromEnv().
+/// exporter; a start that fails is reported on stderr. Called from
+/// InitFromEnv().
 void InitExporterFromEnv();
 
 #else  // !OPENIMA_OBS_ENABLED
@@ -120,7 +126,7 @@ inline Status StartMetricsExporter(const ExporterOptions&) {
   return Status::FailedPrecondition(
       "metrics export requires an OPENIMA_OBS=ON build");
 }
-inline void StopMetricsExporter() {}
+inline Status StopMetricsExporter() { return Status::OK(); }
 inline MetricsExporter* GlobalMetricsExporter() { return nullptr; }
 inline void NotifyMetricsExporter() {}
 inline void InitExporterFromEnv() {}

@@ -286,10 +286,6 @@ const char* ArtifactTypeName(ArtifactType type) {
       return "run-report";
     case ArtifactType::kBenchTrain:
       return "bench-train";
-    case ArtifactType::kBenchServe:
-      return "bench-serve";
-    case ArtifactType::kGoogleBenchmark:
-      return "google-benchmark";
     case ArtifactType::kMetricsSnapshot:
       return "metrics-snapshot";
   }
@@ -312,13 +308,8 @@ StatusOr<json::Value> LoadArtifact(const std::string& path,
         schema->AsString() == "openima-bench-train") {
       type = ArtifactType::kBenchTrain;
     } else if (schema != nullptr && schema->is_string() &&
-               schema->AsString() == "openima-bench-serve") {
-      type = ArtifactType::kBenchServe;
-    } else if (schema != nullptr && schema->is_string() &&
                schema->AsString() == "openima-metrics-snapshot") {
       type = ArtifactType::kMetricsSnapshot;
-    } else if (doc.is_object() && doc.Has("benchmarks")) {
-      type = ArtifactType::kGoogleBenchmark;
     } else if (doc.is_object() && doc.Has("run_name")) {
       type = ArtifactType::kRunReport;
     }
@@ -363,30 +354,7 @@ std::vector<DiffRule> DefaultRulesFor(ArtifactType type) {
       break;
     case ArtifactType::kBenchTrain:
       ignore("run/**");
-      ignore("runs/*/*_ms");  // epoch_ms_mean, sample_total_ms, ...
-      // Per-batch phase means (bench_scale's sample_ms_per_batch /
-      // gather_ms_per_batch): wall-clock like *_ms, just a different
-      // aggregation, so the suffix does not match the rule above.
-      ignore("runs/*/*_ms_per_batch");
-      // Machine-dependent scaling measurements from bench_scale: host RAM
-      // and clock facts, not computation results.
-      ignore("runs/*/peak_rss_mib");
-      ignore("runs/*/nodes_per_sec");
-      break;
-    case ArtifactType::kBenchServe:
-      // Latency percentiles, throughput, and per-phase wall-clock are
-      // machine facts; the "final" block (counts, novel fraction, the
-      // prediction checksum) is computation-derived and compared exactly.
-      ignore("run/**");
-      ignore("runs/*/latency_p50_ms");
-      ignore("runs/*/latency_p99_ms");
-      ignore("runs/*/latency_mean_ms");
-      ignore("runs/*/throughput_req_per_sec");
-      ignore("runs/*/throughput_nodes_per_sec");
-      ignore("runs/*/phase_ms/**");
-      break;
-    case ArtifactType::kGoogleBenchmark:
-      ignore("context/**");
+      ignore("runs/*/*_ms");  // wall-clock timings
       break;
     case ArtifactType::kMetricsSnapshot:
       // Counters/gauges under the logical clock are computation-derived and
@@ -459,47 +427,6 @@ Status ValidateArtifact(const std::string& path) {
           std::ostringstream msg;
           msg << path << ": runs[" << i
               << "] needs a string \"name\" and object \"final\"";
-          return Status::InvalidArgument(msg.str());
-        }
-      }
-      return Status::OK();
-    }
-    case ArtifactType::kBenchServe: {
-      const json::Value* runs = doc.Find("runs");
-      if (runs == nullptr || !runs->is_array() || runs->size() == 0) {
-        return Status::InvalidArgument(
-            path + ": bench-serve document needs a non-empty \"runs\" array");
-      }
-      for (size_t i = 0; i < runs->size(); ++i) {
-        const json::Value& run = runs->at(i);
-        const bool shaped =
-            run.is_object() && run.Has("name") && run.at("name").is_string() &&
-            run.Has("latency_p50_ms") && run.at("latency_p50_ms").is_number() &&
-            run.Has("latency_p99_ms") && run.at("latency_p99_ms").is_number() &&
-            run.Has("throughput_req_per_sec") &&
-            run.at("throughput_req_per_sec").is_number() && run.Has("final") &&
-            run.at("final").is_object();
-        if (!shaped) {
-          std::ostringstream msg;
-          msg << path << ": runs[" << i
-              << "] needs a string \"name\", numeric \"latency_p50_ms\" / "
-                 "\"latency_p99_ms\" / \"throughput_req_per_sec\" and an "
-                 "object \"final\"";
-          return Status::InvalidArgument(msg.str());
-        }
-      }
-      return Status::OK();
-    }
-    case ArtifactType::kGoogleBenchmark: {
-      const json::Value& benchmarks = doc.at("benchmarks");
-      if (!benchmarks.is_array()) {
-        return Status::InvalidArgument(path +
-                                       ": \"benchmarks\" must be an array");
-      }
-      for (size_t i = 0; i < benchmarks.size(); ++i) {
-        if (!benchmarks.at(i).is_object() || !benchmarks.at(i).Has("name")) {
-          std::ostringstream msg;
-          msg << path << ": benchmarks[" << i << "] needs a \"name\"";
           return Status::InvalidArgument(msg.str());
         }
       }

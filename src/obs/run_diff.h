@@ -73,8 +73,6 @@ enum class ArtifactType {
   kTelemetryJsonl,   ///< JSON-Lines of EpochRecords (telemetry.h)
   kRunReport,        ///< RunReport document ({"run_name": ...})
   kBenchTrain,       ///< {"schema": "openima-bench-train", ...}
-  kBenchServe,       ///< {"schema": "openima-bench-serve", ...}
-  kGoogleBenchmark,  ///< google-benchmark --benchmark_out JSON
   kMetricsSnapshot,  ///< {"schema": "openima-metrics-snapshot", ...}
 };
 

@@ -1,5 +1,7 @@
 #include "src/util/flags.h"
 
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -33,16 +35,41 @@ std::string Flags::GetString(const std::string& key,
   return it == values_.end() ? default_value : it->second;
 }
 
+namespace {
+
+// A value that does not parse whole is a usage error, like a malformed
+// argument: exit 2 rather than run with a silent 0.
+[[noreturn]] void ExitBadValue(const std::string& key, const char* expected,
+                               const std::string& text) {
+  std::fprintf(stderr, "flag --%s: expected %s, got \"%s\"\n", key.c_str(),
+               expected, text.c_str());
+  std::exit(2);
+}
+
+}  // namespace
+
 int Flags::GetInt(const std::string& key, int default_value) const {
   auto it = values_.find(key);
   if (it == values_.end()) return default_value;
-  return std::atoi(it->second.c_str());
+  const char* text = it->second.c_str();
+  char* end = nullptr;
+  errno = 0;
+  const long value = std::strtol(text, &end, 10);
+  if (end == text || *end != '\0' || errno == ERANGE || value < INT_MIN ||
+      value > INT_MAX) {
+    ExitBadValue(key, "an integer", it->second);
+  }
+  return static_cast<int>(value);
 }
 
 double Flags::GetDouble(const std::string& key, double default_value) const {
   auto it = values_.find(key);
   if (it == values_.end()) return default_value;
-  return std::atof(it->second.c_str());
+  const char* text = it->second.c_str();
+  char* end = nullptr;
+  const double value = std::strtod(text, &end);
+  if (end == text || *end != '\0') ExitBadValue(key, "a number", it->second);
+  return value;
 }
 
 bool Flags::GetBool(const std::string& key, bool default_value) const {

@@ -14,7 +14,8 @@ class Flags {
   Flags(int argc, char** argv);
 
   /// Typed getters with defaults. A flag given without "=value" parses as
-  /// boolean true.
+  /// boolean true. GetInt and GetDouble exit 2 with a usage message when
+  /// the whole value is not an int (in range) or a number ("inf" is one).
   std::string GetString(const std::string& key,
                         const std::string& default_value) const;
   int GetInt(const std::string& key, int default_value) const;

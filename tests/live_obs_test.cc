@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -400,6 +401,41 @@ TEST(ExporterTest, EnvIntervalKeepsDefaultOnMalformedValues) {
   ::unsetenv("OPENIMA_METRICS_EXPORT_INTERVAL_MS");
   std::remove(path.c_str());
   std::remove((path + ".prom").c_str());
+}
+
+// The first snapshot is written before StartMetricsExporter returns, so a
+// path that cannot be written fails the start and leaves no exporter
+// running; an export that fails later comes back from StopMetricsExporter.
+TEST(ExporterTest, StartAndStopReportWriteFailures) {
+  if (!kCompiledIn) GTEST_SKIP() << "exporter needs OPENIMA_OBS=ON";
+  const std::string dir = TempPath("live_obs_export_dir");
+  std::filesystem::remove_all(dir);
+  ExporterOptions options;
+  options.path = dir + "/x.json";
+  const Status start = StartMetricsExporter(options);
+  EXPECT_EQ(start.code(), StatusCode::kIOError) << start.ToString();
+  EXPECT_EQ(GlobalMetricsExporter(), nullptr);
+
+  ASSERT_TRUE(std::filesystem::create_directory(dir));
+  ASSERT_TRUE(StartMetricsExporter(options).ok());
+  EXPECT_TRUE(std::filesystem::exists(options.path));
+  std::filesystem::remove_all(dir);
+  EXPECT_EQ(StopMetricsExporter().code(), StatusCode::kIOError);
+  EXPECT_EQ(GlobalMetricsExporter(), nullptr);
+}
+
+TEST(ExporterTest, StartRejectsIntervalBelowOneMs) {
+  if (!kCompiledIn) GTEST_SKIP() << "exporter needs OPENIMA_OBS=ON";
+  ExporterOptions options;
+  options.path = TempPath("live_obs_interval.json");
+  for (const int bad : {0, -5}) {
+    options.interval_ms = bad;
+    EXPECT_EQ(StartMetricsExporter(options).code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+    EXPECT_EQ(GlobalMetricsExporter(), nullptr) << bad;
+  }
+  EXPECT_FALSE(std::filesystem::exists(options.path));
 }
 
 // ------------------------------------------------------ drift monitor --

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <set>
 #include <stdexcept>
@@ -248,16 +249,41 @@ TEST(TableTest, TitleShown) {
 // ---------------------------------------------------------------------------
 
 TEST(FlagsTest, ParsesTypedValues) {
-  const char* argv[] = {"prog", "--seeds=3", "--scale=0.5", "--name=x",
-                        "--verbose"};
-  Flags flags(5, const_cast<char**>(argv));
+  const char* argv[] = {"prog",      "--seeds=3",  "--scale=0.5", "--name=x",
+                        "--verbose", "--stop=-1", "--norm=inf"};
+  Flags flags(7, const_cast<char**>(argv));
   EXPECT_EQ(flags.GetInt("seeds", 1), 3);
   EXPECT_DOUBLE_EQ(flags.GetDouble("scale", 1.0), 0.5);
+  EXPECT_EQ(flags.GetInt("stop", 0), -1);
+  EXPECT_EQ(flags.GetDouble("norm", 1.0),
+            std::numeric_limits<double>::infinity());
   EXPECT_EQ(flags.GetString("name", ""), "x");
   EXPECT_TRUE(flags.GetBool("verbose", false));
   EXPECT_EQ(flags.GetInt("missing", 7), 7);
   EXPECT_TRUE(flags.Has("seeds"));
   EXPECT_FALSE(flags.Has("missing"));
+}
+
+// A value that is not a whole int or number exits 2 with a usage message
+// instead of running with atoi's 0.
+TEST(FlagsTest, MalformedNumbersExitWithUsageError) {
+  for (const char* bad : {"abc", "5x", "", "1e3", "99999999999"}) {
+    const std::string arg = std::string("--epochs=") + bad;
+    const char* argv[] = {"prog", arg.c_str()};
+    Flags flags(2, const_cast<char**>(argv));
+    EXPECT_EXIT(flags.GetInt("epochs", 1), ::testing::ExitedWithCode(2),
+                "flag --epochs: expected an integer, got \"" +
+                    std::string(bad) + "\"")
+        << bad;
+  }
+  for (const char* bad : {"abc", "0.5x", ""}) {
+    const std::string arg = std::string("--scale=") + bad;
+    const char* argv[] = {"prog", arg.c_str()};
+    Flags flags(2, const_cast<char**>(argv));
+    EXPECT_EXIT(flags.GetDouble("scale", 1.0), ::testing::ExitedWithCode(2),
+                "flag --scale: expected a number")
+        << bad;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -4,12 +4,10 @@
 // OpenImaModel::SaveCheckpoint), regenerates the quickstart SBM graph the
 // checkpoint was trained on, and drives batched classify-node requests
 // through core::InferenceService from several driver threads. Per-request
-// latencies land in obs histogram buckets; p50/p99 and throughput per batch
-// size are written to an "openima-bench-serve" document that
-// `run_diff --validate` understands (EXPERIMENTS.md).
+// latencies land in obs histogram buckets; one line per batch size reports
+// p50/p99, throughput, the novel share and a prediction checksum.
 //
 //   ./openima_serve --checkpoint=model.ckpt
-//   ./openima_serve --checkpoint=model.ckpt --bench-json=BENCH_serve.json
 //   ./openima_serve --checkpoint=model.ckpt --batch-sizes=1,16,64 \
 //       --requests=256 --threads=4 --fanout=0 --seed=1 --warmup=8
 //   ./openima_serve --checkpoint=model.ckpt --warmup-requests=4
@@ -23,11 +21,9 @@
 // tracing (OPENIMA_TRACE) is on; --drift enables the online drift monitor
 // (policy off|record|warn|abort, window via --drift-window).
 //
-// Everything except the wall-clock numbers is deterministic: the "final"
-// block per batch size (classified count, novel fraction, a FNV-1a
-// checksum over the predicted classes in request order) is independent of
-// the thread count and schedule, so two serve runs off the same checkpoint
-// diff clean under tools/run_diff.
+// Everything except the wall-clock numbers is deterministic: the novel
+// share and the FNV-1a checksum over the predicted classes in request
+// order are independent of the thread count and schedule.
 
 #include <atomic>
 #include <chrono>
@@ -49,32 +45,6 @@
 namespace {
 
 using namespace openima;
-
-// One benchmarked batch size.
-struct ServeRun {
-  int batch_size = 0;
-  int requests = 0;
-  double latency_p50_ms = 0.0;
-  double latency_p99_ms = 0.0;
-  double latency_mean_ms = 0.0;
-  double throughput_req_per_sec = 0.0;
-  double throughput_nodes_per_sec = 0.0;
-  // Per-phase totals over the timed window (ms); 0 under OPENIMA_OBS=OFF.
-  double sample_ms = 0.0;
-  double gather_ms = 0.0;
-  double forward_ms = 0.0;
-  double distance_ms = 0.0;
-  int num_classified = 0;
-  int num_novel = 0;
-  uint64_t prediction_checksum = 0;
-};
-
-double HistTotalMs(const obs::MetricsSnapshot& snap, const std::string& name) {
-  auto it = snap.histograms.find(name);
-  return it == snap.histograms.end()
-             ? 0.0
-             : static_cast<double>(it->second.sum) / 1e6;
-}
 
 uint64_t Fnv1a64Step(uint64_t hash, uint32_t value) {
   for (int b = 0; b < 4; ++b) {
@@ -102,7 +72,7 @@ int main(int argc, char** argv) {
                  "usage: openima_serve --checkpoint=<path> "
                  "[--batch-sizes=1,16,64] [--requests=256] [--threads=4] "
                  "[--fanout=0] [--seed=1] [--warmup=8] [--warmup-requests=4] "
-                 "[--bench-json=BENCH_serve.json] [--backend=auto] "
+                 "[--backend=auto] "
                  "[--metrics-export=<path>] [--metrics-export-interval-ms=1000] "
                  "[--trace-sample=N] [--drift=off|record|warn|abort] "
                  "[--drift-window=256]\n");
@@ -117,7 +87,6 @@ int main(int argc, char** argv) {
   const int warmup_requests = std::max(0, flags.GetInt("warmup-requests", 4));
   const int fanout = flags.GetInt("fanout", 0);
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
-  const std::string bench_json_path = flags.GetString("bench-json", "");
 
   if (flags.Has("trace-sample")) {
     obs::SetTraceSamplePeriod(flags.GetInt("trace-sample", 1));
@@ -188,16 +157,12 @@ int main(int argc, char** argv) {
       service.num_seen(), la::backend::Default().name(), threads, fanout);
 
   const int n = dataset->num_nodes();
-  std::vector<ServeRun> runs;
   for (const int batch : batch_sizes) {
     if (batch > n) {
       std::fprintf(stderr, "batch size %d exceeds the %d-node graph\n", batch,
                    n);
       return 1;
     }
-    ServeRun run;
-    run.batch_size = batch;
-    run.requests = requests;
 
     // Request streams are pure functions of (seed, batch, request index),
     // so every thread schedule classifies the same node sets.
@@ -247,8 +212,6 @@ int main(int argc, char** argv) {
       }
     }
 
-    const obs::MetricsSnapshot before =
-        obs::MetricsRegistry::Global()->Snapshot();
     obs::Histogram* latency = obs::MetricsRegistry::Global()->histogram(
         StrFormat("serve.request_ns/b%d", batch));
 
@@ -291,107 +254,29 @@ int main(int argc, char** argv) {
         1e9;
     if (failed.load()) return 1;
 
-    const obs::MetricsSnapshot after =
-        obs::MetricsRegistry::Global()->Snapshot();
-    const obs::HistogramSnapshot lat =
-        after.histograms.at(StrFormat("serve.request_ns/b%d", batch));
-    run.latency_p50_ms = obs::HistogramQuantile(lat, 0.50) / 1e6;
-    run.latency_p99_ms = obs::HistogramQuantile(lat, 0.99) / 1e6;
-    run.latency_mean_ms = lat.Mean() / 1e6;
-    run.throughput_req_per_sec =
-        elapsed_sec > 0.0 ? requests / elapsed_sec : 0.0;
-    run.throughput_nodes_per_sec = run.throughput_req_per_sec * batch;
-    run.sample_ms = HistTotalMs(after, "time/serve_sample") -
-                    HistTotalMs(before, "time/serve_sample");
-    run.gather_ms = HistTotalMs(after, "time/serve_gather") -
-                    HistTotalMs(before, "time/serve_gather");
-    run.forward_ms = HistTotalMs(after, "time/serve_forward") -
-                     HistTotalMs(before, "time/serve_forward");
-    run.distance_ms = HistTotalMs(after, "time/serve_distance") -
-                      HistTotalMs(before, "time/serve_distance");
+    const obs::HistogramSnapshot lat = latency->Snapshot();
+    const double req_per_sec = elapsed_sec > 0.0 ? requests / elapsed_sec : 0.0;
 
     // Deterministic payload: walk the results in request order (independent
     // of which thread served what).
+    int num_classified = 0;
+    int num_novel = 0;
     uint64_t checksum = 0xcbf29ce484222325ULL;
     for (const auto& batch_results : results) {
       for (const core::ClassifyResult& r : batch_results) {
-        ++run.num_classified;
-        run.num_novel += r.is_novel ? 1 : 0;
+        ++num_classified;
+        num_novel += r.is_novel ? 1 : 0;
         checksum = Fnv1a64Step(checksum, static_cast<uint32_t>(r.class_id));
       }
     }
-    run.prediction_checksum = checksum;
 
     std::printf(
         "  b=%-4d %5d req  p50 %.3f ms  p99 %.3f ms  %.0f req/s  "
         "%.0f nodes/s  novel %.1f%%  checksum %016llx\n",
-        batch, requests, run.latency_p50_ms, run.latency_p99_ms,
-        run.throughput_req_per_sec, run.throughput_nodes_per_sec,
-        100.0 * run.num_novel / run.num_classified,
-        static_cast<unsigned long long>(run.prediction_checksum));
-    runs.push_back(run);
-  }
-
-  if (!bench_json_path.empty()) {
-    using obs::json::Value;
-    Value doc = Value::Object();
-    doc.Set("schema", Value::Str("openima-bench-serve"));
-    Value run_meta = Value::Object();
-    run_meta.Set("dataset", Value::Str(dataset->name));
-    run_meta.Set("num_nodes", Value::Int(dataset->num_nodes()));
-    run_meta.Set("checkpoint", Value::Str(checkpoint_path));
-    run_meta.Set("checkpoint_epoch", Value::Int(service.epochs_done()));
-    run_meta.Set("threads", Value::Int(threads));
-    run_meta.Set("fanout", Value::Int(fanout));
-    run_meta.Set("warmup_requests", Value::Int(warmup_requests));
-    run_meta.Set("backend", Value::Str(la::backend::Default().name()));
-    doc.Set("run", std::move(run_meta));
-    Value runs_json = Value::Array();
-    for (const ServeRun& run : runs) {
-      Value entry = Value::Object();
-      entry.Set("name", Value::Str(StrFormat("serve/b%d", run.batch_size)));
-      entry.Set("batch_size", Value::Int(run.batch_size));
-      entry.Set("requests", Value::Int(run.requests));
-      entry.Set("latency_p50_ms", Value::Double(run.latency_p50_ms));
-      entry.Set("latency_p99_ms", Value::Double(run.latency_p99_ms));
-      entry.Set("latency_mean_ms", Value::Double(run.latency_mean_ms));
-      entry.Set("throughput_req_per_sec",
-                Value::Double(run.throughput_req_per_sec));
-      entry.Set("throughput_nodes_per_sec",
-                Value::Double(run.throughput_nodes_per_sec));
-      Value phases = Value::Object();
-      phases.Set("sample", Value::Double(run.sample_ms));
-      phases.Set("gather", Value::Double(run.gather_ms));
-      phases.Set("forward", Value::Double(run.forward_ms));
-      phases.Set("distance", Value::Double(run.distance_ms));
-      entry.Set("phase_ms", std::move(phases));
-      Value final_block = Value::Object();
-      final_block.Set("num_classified", Value::Int(run.num_classified));
-      final_block.Set("num_novel", Value::Int(run.num_novel));
-      final_block.Set(
-          "novel_fraction",
-          Value::Double(static_cast<double>(run.num_novel) /
-                        static_cast<double>(run.num_classified)));
-      final_block.Set("prediction_checksum",
-                      Value::Str(StrFormat(
-                          "%016llx", static_cast<unsigned long long>(
-                                         run.prediction_checksum))));
-      entry.Set("final", std::move(final_block));
-      runs_json.Append(std::move(entry));
-    }
-    doc.Set("runs", std::move(runs_json));
-    const std::string text = doc.Dump(1);
-    std::FILE* f = std::fopen(bench_json_path.c_str(), "w");
-    if (f == nullptr ||
-        std::fwrite(text.data(), 1, text.size(), f) != text.size()) {
-      std::fprintf(stderr, "bench-json: cannot write %s\n",
-                   bench_json_path.c_str());
-      if (f != nullptr) std::fclose(f);
-      return 1;
-    }
-    std::fputc('\n', f);
-    std::fclose(f);
-    std::printf("wrote serve benchmark to %s\n", bench_json_path.c_str());
+        batch, requests, obs::HistogramQuantile(lat, 0.50) / 1e6,
+        obs::HistogramQuantile(lat, 0.99) / 1e6, req_per_sec,
+        req_per_sec * batch, 100.0 * num_novel / num_classified,
+        static_cast<unsigned long long>(checksum));
   }
 
   if (const obs::DriftMonitor* drift = service.drift_monitor()) {
@@ -407,7 +292,12 @@ int main(int argc, char** argv) {
   }
   if (obs::MetricsExporter* exporter = obs::GlobalMetricsExporter()) {
     const std::string export_path = exporter->options().path;
-    obs::StopMetricsExporter();  // final export rides on Stop()
+    // The final export rides on Stop(), which also reports the first
+    // export that failed.
+    if (Status s = obs::StopMetricsExporter(); !s.ok()) {
+      std::fprintf(stderr, "metrics-export: %s\n", s.ToString().c_str());
+      return 1;
+    }
     std::printf("wrote metrics snapshot to %s (+ .prom)\n",
                 export_path.c_str());
   }

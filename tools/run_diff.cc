@@ -5,10 +5,11 @@
 //   run_diff --validate F...     schema-check artifacts (exit 1 on failure)
 //
 // Artifacts are detected from content: telemetry JSONL logs, RunReport
-// JSON, BENCH_train.json ("openima-bench-train") and google-benchmark
-// output. Volatile sections (build/host metadata, wall-clock timings) are
-// ignored by default; everything else must match exactly unless a
-// tolerance rule says otherwise (see EXPERIMENTS.md for the rule format).
+// JSON, "openima-bench-train" documents (bench_sampled_quality) and
+// metrics snapshots. Volatile sections (build/host metadata, wall-clock
+// timings) are ignored by default; everything else must match exactly
+// unless a tolerance rule says otherwise (see EXPERIMENTS.md for the rule
+// format).
 //
 // Exit codes: 0 = pass, 1 = regression/validation failure, 2 = usage or
 // I/O error.
