@@ -102,6 +102,7 @@ graph::Dataset MakeBenchGraph(int n, int classes = 6, int dim = 32) {
   return std::move(ds).value();
 }
 
+// The eval-mode forward as the library's eval callers run it: tape-free.
 void BM_GatForward(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   graph::Dataset ds = MakeBenchGraph(n);
@@ -113,10 +114,8 @@ void BM_GatForward(benchmark::State& state) {
   cfg.num_heads = 4;
   cfg.dropout = 0.0f;
   nn::GatEncoder encoder(cfg, &rng);
-  Variable features = Variable::Leaf(ds.features, false);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        encoder.Forward(ds.graph, features, false, nullptr).value());
+    benchmark::DoNotOptimize(encoder.ForwardFrozen(ds.graph, ds.features));
   }
   state.SetItemsProcessed(state.iterations() * n);
 }

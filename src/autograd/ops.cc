@@ -65,11 +65,7 @@ Variable AddRowBroadcast(const Variable& x, const Variable& bias) {
   OPENIMA_CHECK_EQ(bias.rows(), 1);
   OPENIMA_CHECK_EQ(bias.cols(), x.cols());
   la::Matrix out = x.value();
-  const float* b = bias.value().Row(0);
-  for (int i = 0; i < out.rows(); ++i) {
-    float* row = out.Row(i);
-    for (int j = 0; j < out.cols(); ++j) row[j] += b[j];
-  }
+  la::AddRowBroadcastInPlace(bias.value(), &out);
   return MakeOp("add_row_broadcast", std::move(out), {x, bias}, [](Node* n) {
     if (NeedsGrad(n, 0)) InGrad(n, 0) += n->grad;
     if (NeedsGrad(n, 1)) {
@@ -117,10 +113,7 @@ Variable LeakyRelu(const Variable& x, float slope) {
 
 Variable Elu(const Variable& x, float alpha) {
   la::Matrix out = x.value();
-  for (int64_t i = 0; i < out.size(); ++i) {
-    float v = out.data()[i];
-    if (v <= 0.0f) out.data()[i] = alpha * (std::exp(v) - 1.0f);
-  }
+  la::EluInPlace(alpha, &out);
   // d(elu)/dx = 1 for x > 0, else elu(x) + alpha; the output values are the
   // node's own `value`, so the backward reads them there instead of keeping
   // a copy alive in the closure.

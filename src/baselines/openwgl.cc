@@ -41,11 +41,8 @@ OpenWglClassifier::OpenWglClassifier(const BaselineConfig& config,
 }
 
 la::Matrix OpenWglClassifier::EvalMu(const graph::Dataset& dataset) const {
-  Variable features =
-      autograd::Variable::Leaf(dataset.features, /*requires_grad=*/false);
-  Variable h = encoder_->Forward(dataset.graph, features, /*training=*/false,
-                                 nullptr);
-  return mu_layer_->Forward(h).value();
+  return mu_layer_->ForwardFrozen(
+      encoder_->ForwardFrozen(dataset.graph, dataset.features));
 }
 
 Status OpenWglClassifier::Train(const graph::Dataset& dataset,

@@ -17,6 +17,10 @@ EncoderWithHead::EncoderWithHead(const nn::GatEncoderConfig& encoder_config,
 
 autograd::Variable EncoderWithHead::Embed(const graph::Dataset& dataset,
                                           bool training, Rng* rng) const {
+  if (!training) {
+    return autograd::Variable::Leaf(EvalEmbeddings(dataset),
+                                    /*requires_grad=*/false);
+  }
   autograd::Variable features =
       autograd::Variable::Leaf(dataset.features, /*requires_grad=*/false);
   return encoder_->Forward(dataset.graph, features, training, rng);
@@ -25,6 +29,11 @@ autograd::Variable EncoderWithHead::Embed(const graph::Dataset& dataset,
 autograd::Variable EncoderWithHead::EmbedSampled(
     const graph::SampledBlock& block, const la::Matrix& gathered,
     bool training, Rng* rng) const {
+  if (!training) {
+    return autograd::Variable::Leaf(
+        encoder_->ForwardSampledFrozen(block, gathered),
+        /*requires_grad=*/false);
+  }
   autograd::Variable features =
       autograd::Variable::Leaf(gathered, /*requires_grad=*/false);
   return encoder_->ForwardSampled(block, features, training, rng);
@@ -37,12 +46,11 @@ autograd::Variable EncoderWithHead::Logits(
 
 la::Matrix EncoderWithHead::EvalEmbeddings(
     const graph::Dataset& dataset) const {
-  return Embed(dataset, /*training=*/false, nullptr).value();
+  return encoder_->ForwardFrozen(dataset.graph, dataset.features);
 }
 
 la::Matrix EncoderWithHead::EvalLogits(const graph::Dataset& dataset) const {
-  autograd::Variable z = Embed(dataset, /*training=*/false, nullptr);
-  return Logits(z).value();
+  return head_->ForwardFrozen(EvalEmbeddings(dataset));
 }
 
 }  // namespace openima::core

@@ -22,6 +22,8 @@ class EncoderWithHead : public nn::Module {
                   Rng* rng);
 
   /// Embeddings for all nodes; training=true draws fresh dropout masks.
+  /// In eval mode (training=false) the result is a constant leaf computed
+  /// by the tape-free frozen forward: nothing backpropagates through it.
   autograd::Variable Embed(const graph::Dataset& dataset, bool training,
                            Rng* rng) const;
 
@@ -29,7 +31,8 @@ class EncoderWithHead : public nn::Module {
   /// holds the features of the block's input frontier (block.num_input() x
   /// in_dim, gathered by the caller — the trainer routes this through the
   /// backend GatherRows kernel under the "gather" phase timer). Only valid
-  /// when encoder().SupportsSampled().
+  /// when encoder().SupportsSampled(). Eval mode returns a constant leaf,
+  /// as Embed does.
   autograd::Variable EmbedSampled(const graph::SampledBlock& block,
                                   const la::Matrix& gathered, bool training,
                                   Rng* rng) const;
@@ -37,10 +40,11 @@ class EncoderWithHead : public nn::Module {
   /// Head logits from embeddings.
   autograd::Variable Logits(const autograd::Variable& embeddings) const;
 
-  /// Deterministic (eval-mode) embeddings as a plain matrix.
+  /// Deterministic (eval-mode) embeddings as a plain matrix, from the
+  /// tape-free frozen forward (no graph node, no parameter gradient).
   la::Matrix EvalEmbeddings(const graph::Dataset& dataset) const;
 
-  /// Deterministic (eval-mode) head logits for all nodes.
+  /// Deterministic (eval-mode) head logits for all nodes, tape-free.
   la::Matrix EvalLogits(const graph::Dataset& dataset) const;
 
   const nn::Encoder& encoder() const { return *encoder_; }

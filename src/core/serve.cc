@@ -183,11 +183,13 @@ std::unique_ptr<InferenceSession> InferenceService::NewSession() const {
 InferenceSession::InferenceSession(const InferenceService* service)
     : service_(service) {
   // The replica's random init is immediately overwritten by the
-  // checkpointed weights; any seed works.
+  // checkpointed weights; any seed works. Its kernels run on the session's
+  // own context, so concurrent sessions never share a thread pool queue.
   Rng init_rng(0);
+  nn::GatEncoderConfig encoder_config = service->encoder_config_;
+  encoder_config.exec = &ctx_;
   model_ = std::make_unique<EncoderWithHead>(
-      service->encoder_config_, service->num_seen_ + service->num_novel_,
-      &init_rng);
+      encoder_config, service->num_seen_ + service->num_novel_, &init_rng);
   const std::vector<autograd::Variable>& params = model_->parameters();
   for (size_t t = 0; t < params.size(); ++t) {
     autograd::Variable p = params[t];
@@ -209,6 +211,7 @@ Status InferenceSession::Classify(const std::vector<int>& nodes, uint64_t tag,
   // requests) plus, when sampled, the trace event the inner phases nest
   // under.
   obs::RequestTrace request_trace("serve_request", "serve.request_ns");
+  la::PoolBinding pool_binding(&pool_);
   const graph::Dataset& dataset = *service_->dataset_;
   const int n = dataset.num_nodes();
   if (nodes.empty()) {
@@ -250,8 +253,7 @@ Status InferenceSession::Classify(const std::vector<int>& nodes, uint64_t tag,
   la::Matrix emb;
   {
     OPENIMA_OBS_PHASE("serve_forward");
-    emb = model_->EmbedSampled(block, feats, /*training=*/false, nullptr)
-              .value();
+    emb = model_->encoder().ForwardSampledFrozen(block, feats);
     la::RowL2NormalizeInPlace(&emb, 1e-12f, &ctx_);
   }
 

@@ -10,6 +10,7 @@
 #include "src/graph/dataset.h"
 #include "src/graph/sampler.h"
 #include "src/la/matrix.h"
+#include "src/la/pool.h"
 #include "src/obs/drift.h"
 #include "src/util/status.h"
 
@@ -27,12 +28,6 @@ struct ServeOptions {
   /// 2-hop neighborhood — exact eval-mode embeddings, the default; > 0
   /// trades exactness for bounded block size on high-degree graphs).
   int sample_fanout = 0;
-
-  /// Execution context for the service-level kernels (nullptr = process
-  /// default). Sessions run their own single-threaded contexts regardless —
-  /// concurrency comes from running many sessions, not from intra-request
-  /// threading.
-  const exec::Context* exec = nullptr;
 
   /// Online drift monitoring over classified traffic (policy kOff, the
   /// default, disables it — see obs::DriftMonitorOptions /
@@ -60,8 +55,10 @@ class InferenceSession;
 /// in cluster-id order — exactly Predict()'s rule). The service itself is
 /// immutable after Load(); each driver thread makes its own
 /// InferenceSession, which owns the mutable per-request state (sampler
-/// workspace, a model replica, a single-threaded exec context), so any
-/// number of sessions classify concurrently with bit-identical results.
+/// workspace, a model replica, a single-threaded exec context, a matrix
+/// pool), so any number of sessions classify concurrently with
+/// bit-identical results. Concurrency comes from running many sessions, not
+/// from intra-request threading.
 class InferenceService {
  public:
   /// `dataset` must outlive the service and match the checkpoint's feature
@@ -113,7 +110,10 @@ class InferenceSession {
   /// nodes get bit-identical answers — with fanout 0 the tag is irrelevant).
   /// `out` is resized to nodes.size(), row i answering nodes[i]. Phases
   /// "serve_sample" / "serve_gather" / "serve_forward" / "serve_distance"
-  /// are recorded into the obs registry per request.
+  /// are recorded into the obs registry per request. The forward is the
+  /// encoder's tape-free ForwardSampledFrozen on the session's own
+  /// context, and every matrix of the request draws from the session's
+  /// pool, so a warmed request allocates no matrix storage.
   Status Classify(const std::vector<int>& nodes, uint64_t tag,
                   std::vector<ClassifyResult>* out);
 
@@ -122,7 +122,10 @@ class InferenceSession {
   explicit InferenceSession(const InferenceService* service);
 
   const InferenceService* service_;
-  exec::Context ctx_{1};
+  // Declared before everything that may hold its buffers. Only matrices
+  // made inside Classify() draw from it, and all of them die there.
+  la::Pool pool_;
+  exec::Context ctx_{1};  ///< the replica's kernels run here, inline
   std::unique_ptr<EncoderWithHead> model_;  ///< session-private replica
   std::unique_ptr<graph::NeighborSampler> sampler_;
   std::vector<char> seen_;  ///< duplicate-id scratch, |V| entries

@@ -96,6 +96,24 @@ void HadamardAddInPlace(const Matrix& a, const Matrix& b, Matrix* dst,
       });
 }
 
+void AddRowBroadcastInPlace(const Matrix& bias, Matrix* m) {
+  OPENIMA_CHECK_EQ(bias.rows(), 1);
+  OPENIMA_CHECK_EQ(bias.cols(), m->cols());
+  const float* b = bias.Row(0);
+  for (int i = 0; i < m->rows(); ++i) {
+    float* row = m->Row(i);
+    for (int j = 0; j < m->cols(); ++j) row[j] += b[j];
+  }
+}
+
+void EluInPlace(float alpha, Matrix* m) {
+  float* d = m->data();
+  for (int64_t i = 0; i < m->size(); ++i) {
+    const float v = d[i];
+    if (v <= 0.0f) d[i] = alpha * (std::exp(v) - 1.0f);
+  }
+}
+
 Matrix MatmulTN(const Matrix& a, const Matrix& b, const exec::Context* ctx) {
   OPENIMA_CHECK_EQ(a.rows(), b.rows());
   Matrix at = Transpose(a, ctx);

@@ -57,6 +57,15 @@ void AxpyInPlace(float alpha, const Matrix& src, Matrix* dst,
 void HadamardAddInPlace(const Matrix& a, const Matrix& b, Matrix* dst,
                         const exec::Context* ctx = nullptr);
 
+/// Adds the 1 x m->cols() row `bias` to every row of `m`, serially on the
+/// calling thread (the bias add of autograd::ops::AddRowBroadcast and of
+/// the layers' frozen forwards).
+void AddRowBroadcastInPlace(const Matrix& bias, Matrix* m);
+
+/// ELU in place, serially: x for x > 0, alpha * (exp(x) - 1) otherwise (the
+/// forward of autograd::ops::Elu and of the GCN's frozen forward).
+void EluInPlace(float alpha, Matrix* m);
+
 /// Naive serial i-k-j reference product (no blocking, no threading, no
 /// shortcuts). The parity tests and the kernel micro-benchmarks measure the
 /// optimized kernels against this.

@@ -1,5 +1,7 @@
 #include "src/la/pool.h"
 
+#include <sys/mman.h>
+
 #include <atomic>
 #include <new>
 
@@ -29,14 +31,47 @@ void FreeFloats(float* ptr) {
   ::operator delete[](ptr, std::align_val_t{32});
 }
 
+// Pool buckets of at least glibc's default mmap threshold are mapped
+// straight from the kernel, so Trim() and ~Pool hand them back. Through
+// operator new[] they would be heap memory once glibc raised its dynamic
+// threshold (freeing one large mmapped chunk raises it), and a heap that
+// glibc does not trim keeps a dead model's buckets resident for the rest
+// of the process.
+constexpr int64_t kMapBytes = int64_t{128} << 10;
+
+int64_t BucketBytes(size_t bucket) {
+  return (int64_t{64} << bucket) * static_cast<int64_t>(sizeof(float));
+}
+
+float* AllocBucket(size_t bucket) {
+  const int64_t bytes = BucketBytes(bucket);
+  if (bytes < kMapBytes) {
+    return AllocFloats(bytes / static_cast<int64_t>(sizeof(float)));
+  }
+  void* ptr = mmap(nullptr, static_cast<size_t>(bytes), PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  OPENIMA_CHECK(ptr != MAP_FAILED) << "mmap of a " << bytes
+                                   << "-byte pool bucket failed";
+  return static_cast<float*>(ptr);
+}
+
+void FreeBucket(size_t bucket, float* ptr) {
+  const int64_t bytes = BucketBytes(bucket);
+  if (bytes < kMapBytes) {
+    FreeFloats(ptr);
+  } else {
+    munmap(ptr, static_cast<size_t>(bytes));
+  }
+}
+
 }  // namespace
 
 Pool::~Pool() {
   std::lock_guard<std::mutex> lock(mu_);
   OPENIMA_CHECK_EQ(stats_.outstanding, 0)
       << "pool destroyed with buffers still in use";
-  for (auto& bucket : free_lists_) {
-    for (float* ptr : bucket) FreeFloats(ptr);
+  for (size_t b = 0; b < free_lists_.size(); ++b) {
+    for (float* ptr : free_lists_[b]) FreeBucket(b, ptr);
   }
 }
 
@@ -65,7 +100,7 @@ float* Pool::Acquire(int64_t count) {
   }
   ++stats_.misses;
   stats_.bytes_allocated += cap * static_cast<int64_t>(sizeof(float));
-  return AllocFloats(cap);
+  return AllocBucket(static_cast<size_t>(bucket));
 }
 
 void Pool::Release(float* ptr, int64_t count) {
@@ -101,9 +136,9 @@ void Pool::Trim() {
   std::lock_guard<std::mutex> lock(mu_);
   OPENIMA_CHECK_EQ(stats_.outstanding, 0)
       << "Trim() with buffers still in use";
-  for (auto& bucket : free_lists_) {
-    for (float* ptr : bucket) FreeFloats(ptr);
-    bucket.clear();
+  for (size_t b = 0; b < free_lists_.size(); ++b) {
+    for (float* ptr : free_lists_[b]) FreeBucket(b, ptr);
+    free_lists_[b].clear();
   }
   stats_.bytes_cached = 0;
 }

@@ -27,7 +27,11 @@ struct PoolStats {
 /// are rounded up to power-of-two capacities; each bucket keeps a LIFO free
 /// list. The first epoch populates the buckets (misses); later epochs are
 /// served entirely from the free lists (hits), so a steady-state epoch
-/// performs no heap allocation for matrix storage.
+/// performs no heap allocation for matrix storage. Buckets of 128 KiB and
+/// more (glibc's default mmap threshold) are mapped with mmap and unmapped
+/// by Trim() and the destructor, so a freed pool returns its large buckets
+/// to the system whatever the heap's state; smaller ones come from the
+/// 32-byte-aligned operator new[].
 ///
 /// Thread safety: Acquire/Release/stats are mutex-guarded, so buffers may be
 /// released from a different thread than the one that acquired them. The
@@ -61,8 +65,8 @@ class Pool {
   /// snapshots instead; this is for test isolation.
   void ResetStats();
 
-  /// Frees every cached buffer. CHECK-fails when buffers are still
-  /// outstanding.
+  /// Frees every cached buffer (unmapping the large buckets). CHECK-fails
+  /// when buffers are still outstanding.
   void Trim();
 
  private:

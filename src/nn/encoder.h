@@ -40,6 +40,25 @@ class Encoder : public Module {
     return {};
   }
 
+  /// Tape-free eval forward: the same bits as
+  /// Forward(graph, Leaf(features), /*training=*/false, ...).value(), but it
+  /// draws no graph node, backward closure or parameter gradient and skips
+  /// the eval dropout copies. For callers that never backpropagate (eval
+  /// embeddings, head prediction, serving); Forward in eval mode keeps the
+  /// tape for callers that do.
+  virtual la::Matrix ForwardFrozen(const graph::Graph& graph,
+                                   const la::Matrix& features) const = 0;
+
+  /// Tape-free counterpart of ForwardSampled in eval mode. Only valid when
+  /// SupportsSampled() is true.
+  virtual la::Matrix ForwardSampledFrozen(const graph::SampledBlock& block,
+                                          const la::Matrix& features) const {
+    (void)block;
+    (void)features;
+    OPENIMA_CHECK(false) << "encoder does not support sampled forward";
+    return {};
+  }
+
   virtual int embedding_dim() const = 0;
 };
 

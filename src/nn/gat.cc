@@ -8,6 +8,7 @@
 #include "src/autograd/ops.h"
 #include "src/exec/context.h"
 #include "src/la/backend/backend.h"
+#include "src/la/matrix_ops.h"
 #include "src/la/pool.h"
 #include "src/nn/init.h"
 #include "src/util/logging.h"
@@ -22,29 +23,26 @@ using autograd::Variable;
 // Rows per task for node-range loops; disjoint-write kernels are
 // deterministic under any split, so this only tunes task granularity.
 int64_t NodeGrain(int64_t n) { return std::max<int64_t>(64, n / 256); }
-}  // namespace
 
-Variable GatAttention(const graph::Graph& graph, const Variable& wh,
-                      const Variable& a_src, const Variable& a_dst,
-                      float leaky_slope, float attn_dropout, bool training,
-                      Rng* rng, const exec::Context* exec_ctx) {
+// One head's attention forward over the full graph's CSR, shared by the
+// autograd wrapper and the frozen forward: per-node scores, then for each
+// destination row its LeakyReLU pre-activations (`pre`) and softmax
+// coefficients (`alpha`, both in CSR order, every entry written), and the
+// aggregation accumulated into the caller-zeroed row i of `out` (row stride
+// `out_stride`, so a head can write straight into its concat slice).
+// `mask` (nullptr = none) scales each coefficient as it is applied.
+void AttendGraph(const graph::Graph& graph, const la::Matrix& whv,
+                 const float* asrc, const float* adst, float leaky_slope,
+                 const float* mask, float* pre, float* alpha, float* out,
+                 int64_t out_stride, const exec::Context* exec_ctx) {
   const int n = graph.num_nodes();
-  const int f = wh.cols();
-  OPENIMA_CHECK_EQ(wh.rows(), n);
-  OPENIMA_CHECK_EQ(a_src.rows(), 1);
-  OPENIMA_CHECK_EQ(a_src.cols(), f);
-  OPENIMA_CHECK_EQ(a_dst.rows(), 1);
-  OPENIMA_CHECK_EQ(a_dst.cols(), f);
+  const int f = whv.cols();
+  OPENIMA_CHECK_EQ(whv.rows(), n);
   OPENIMA_CHECK(graph.has_self_loops())
       << "GAT requires self-loops so every node attends to itself";
-
   const exec::Context& ex = exec::Get(exec_ctx);
-  const la::Matrix& whv = wh.value();
-  const float* asrc = a_src.value().Row(0);
-  const float* adst = a_dst.value().Row(0);
   const auto& row_ptr = graph.row_ptr();
   const auto& col_idx = graph.col_idx();
-  const int64_t num_edges = graph.num_directed_edges();
 
   // Per-node attention scores s_src(i) = wh_i . a_src, s_dst likewise.
   // Disjoint writes per node; per-node accumulation order is fixed. Pooled
@@ -64,31 +62,9 @@ Variable GatAttention(const graph::Graph& graph, const Variable& wh,
                    }
                  });
 
-  // Per-edge pre-activations, softmax coefficients, and dropout mask,
-  // stored in CSR order for the backward pass. These live in the backward
-  // closure, which std::function requires to be copyable — so they are
-  // pool-backed la::Matrix rows rather than (move-only) PoolBuffers. Mask
-  // generation stays serial: the Rng draw order is part of the
-  // reproducibility contract.
-  const int ne = static_cast<int>(num_edges);
-  OPENIMA_CHECK_EQ(static_cast<int64_t>(ne), num_edges);
-  la::Matrix pre(1, ne);
-  la::Matrix alpha(1, ne);
-  la::Matrix mask;  // empty when no attention dropout
-  const bool use_mask = training && attn_dropout > 0.0f;
-  if (use_mask) {
-    OPENIMA_CHECK(rng != nullptr);
-    mask = la::Matrix(1, ne);
-    const float keep_scale = 1.0f / (1.0f - attn_dropout);
-    for (int64_t e = 0; e < num_edges; ++e) {
-      mask.data()[e] = rng->Bernoulli(attn_dropout) ? 0.0f : keep_scale;
-    }
-  }
-
   // Attention + aggregation, parallel over destination nodes. Each node
   // owns its CSR row of pre/alpha and its output row, so writes are
   // disjoint and the result is identical for any range split.
-  la::Matrix out(n, f);
   ex.ParallelFor(n, NodeGrain(n), [&](int64_t r0, int64_t r1) {
     for (int64_t i = r0; i < r1; ++i) {
       const int64_t begin = row_ptr[static_cast<size_t>(i)];
@@ -98,26 +74,139 @@ Variable GatAttention(const graph::Graph& graph, const Variable& wh,
         const int j = col_idx[static_cast<size_t>(e)];
         float v = sdst[static_cast<size_t>(i)] + ssrc[static_cast<size_t>(j)];
         if (v <= 0.0f) v *= leaky_slope;
-        pre.data()[static_cast<size_t>(e)] = v;
+        pre[e] = v;
         mx = std::max(mx, v);
       }
       double denom = 0.0;
       for (int64_t e = begin; e < end; ++e) {
-        const float a = std::exp(pre.data()[static_cast<size_t>(e)] - mx);
-        alpha.data()[static_cast<size_t>(e)] = a;
+        const float a = std::exp(pre[e] - mx);
+        alpha[e] = a;
         denom += a;
       }
       const float inv = static_cast<float>(1.0 / denom);
-      float* orow = out.Row(static_cast<int>(i));
+      float* orow = out + i * out_stride;
       for (int64_t e = begin; e < end; ++e) {
-        alpha.data()[static_cast<size_t>(e)] *= inv;
-        float coeff = alpha.data()[static_cast<size_t>(e)];
-        if (use_mask) coeff *= mask.data()[static_cast<size_t>(e)];
+        alpha[e] *= inv;
+        float coeff = alpha[e];
+        if (mask != nullptr) coeff *= mask[e];
         const float* src = whv.Row(col_idx[static_cast<size_t>(e)]);
         for (int j = 0; j < f; ++j) orow[j] += coeff * src[j];
       }
     }
   });
+}
+
+// AttendGraph over one sampled bipartite layer: `whv` covers the layer's
+// source frontier, `out` its destination rows. s_dst is only needed on the
+// dst prefix (wh row i doubles as dst node i's projection), and the
+// aggregation accumulates through the backend AxpyRow kernel, which is
+// pinned bit-identical across backends.
+void AttendSampled(const graph::SampledLayer& layer, const la::Matrix& whv,
+                   const float* asrc, const float* adst, float leaky_slope,
+                   const float* mask, float* pre, float* alpha, float* out,
+                   int64_t out_stride, const exec::Context* exec_ctx) {
+  const int num_src = layer.num_src;
+  const int num_dst = layer.num_dst;
+  const int f = whv.cols();
+  OPENIMA_CHECK_EQ(whv.rows(), num_src);
+  OPENIMA_CHECK_GE(num_src, num_dst);  // dst ids are a prefix of src ids
+  const exec::Context& ex = exec::Get(exec_ctx);
+  const la::backend::KernelBackend& be = la::backend::Resolve(exec_ctx);
+  const auto& row_ptr = layer.row_ptr;
+  const auto& col_idx = layer.col_idx;
+
+  // Same fixed per-row score accumulation as the full-graph kernel.
+  la::PoolBuffer ssrc(num_src, exec_ctx), sdst(std::max(num_dst, 1), exec_ctx);
+  ex.ParallelFor(num_src, std::max<int64_t>(1, 8192 / std::max(1, f)),
+                 [&](int64_t r0, int64_t r1) {
+                   for (int64_t i = r0; i < r1; ++i) {
+                     const float* row = whv.Row(static_cast<int>(i));
+                     double d1 = 0.0, d2 = 0.0;
+                     for (int j = 0; j < f; ++j) {
+                       d1 += static_cast<double>(row[j]) * asrc[j];
+                       d2 += static_cast<double>(row[j]) * adst[j];
+                     }
+                     ssrc[static_cast<size_t>(i)] = static_cast<float>(d1);
+                     if (i < num_dst) {
+                       sdst[static_cast<size_t>(i)] = static_cast<float>(d2);
+                     }
+                   }
+                 });
+
+  // Edge-softmax over the sampled frontier, row-local with max-shift.
+  ex.ParallelFor(num_dst, NodeGrain(num_dst), [&](int64_t r0, int64_t r1) {
+    for (int64_t i = r0; i < r1; ++i) {
+      const int64_t begin = row_ptr[static_cast<size_t>(i)];
+      const int64_t end = row_ptr[static_cast<size_t>(i) + 1];
+      float mx = -std::numeric_limits<float>::infinity();
+      for (int64_t e = begin; e < end; ++e) {
+        const int j = col_idx[static_cast<size_t>(e)];
+        float v = sdst[static_cast<size_t>(i)] + ssrc[static_cast<size_t>(j)];
+        if (v <= 0.0f) v *= leaky_slope;
+        pre[e] = v;
+        mx = std::max(mx, v);
+      }
+      double denom = 0.0;
+      for (int64_t e = begin; e < end; ++e) {
+        const float a = std::exp(pre[e] - mx);
+        alpha[e] = a;
+        denom += a;
+      }
+      const float inv = static_cast<float>(1.0 / denom);
+      float* orow = out + i * out_stride;
+      for (int64_t e = begin; e < end; ++e) {
+        alpha[e] *= inv;
+        float coeff = alpha[e];
+        if (mask != nullptr) coeff *= mask[e];
+        be.AxpyRow(coeff, whv.Row(col_idx[static_cast<size_t>(e)]), orow, f);
+      }
+    }
+  });
+}
+
+// Training-mode dropout mask over `num_edges` attention coefficients (empty
+// when no attention dropout applies). The draw stays serial: the Rng draw
+// order is part of the reproducibility contract.
+la::Matrix AttentionMask(int64_t num_edges, float attn_dropout, bool training,
+                         Rng* rng) {
+  if (!training || attn_dropout <= 0.0f) return la::Matrix();
+  OPENIMA_CHECK(rng != nullptr);
+  la::Matrix mask(1, static_cast<int>(num_edges));
+  const float keep_scale = 1.0f / (1.0f - attn_dropout);
+  for (int64_t e = 0; e < num_edges; ++e) {
+    mask.data()[e] = rng->Bernoulli(attn_dropout) ? 0.0f : keep_scale;
+  }
+  return mask;
+}
+
+}  // namespace
+
+Variable GatAttention(const graph::Graph& graph, const Variable& wh,
+                      const Variable& a_src, const Variable& a_dst,
+                      float leaky_slope, float attn_dropout, bool training,
+                      Rng* rng, const exec::Context* exec_ctx) {
+  const int n = graph.num_nodes();
+  const int f = wh.cols();
+  OPENIMA_CHECK_EQ(a_src.rows(), 1);
+  OPENIMA_CHECK_EQ(a_src.cols(), f);
+  OPENIMA_CHECK_EQ(a_dst.rows(), 1);
+  OPENIMA_CHECK_EQ(a_dst.cols(), f);
+  const int64_t num_edges = graph.num_directed_edges();
+  const int ne = static_cast<int>(num_edges);
+  OPENIMA_CHECK_EQ(static_cast<int64_t>(ne), num_edges);
+
+  // Per-edge pre-activations, softmax coefficients, and dropout mask,
+  // stored in CSR order for the backward pass. These live in the backward
+  // closure, which std::function requires to be copyable — so they are
+  // pool-backed la::Matrix rows rather than (move-only) PoolBuffers.
+  la::Matrix pre(1, ne);
+  la::Matrix alpha(1, ne);
+  la::Matrix mask = AttentionMask(num_edges, attn_dropout, training, rng);
+  const bool use_mask = !mask.empty();
+  la::Matrix out(n, f);
+  AttendGraph(graph, wh.value(), a_src.value().Row(0), a_dst.value().Row(0),
+              leaky_slope, use_mask ? mask.data() : nullptr, pre.data(),
+              alpha.data(), out.data(), f, exec_ctx);
 
   // The graph must outlive the backward pass (owned by the caller's
   // Dataset); captured by pointer. Likewise an explicit execution context.
@@ -282,97 +371,24 @@ Variable GatAttentionSampled(const graph::SampledLayer& layer,
                              const Variable& a_dst, float leaky_slope,
                              float attn_dropout, bool training, Rng* rng,
                              const exec::Context* exec_ctx) {
-  const int num_src = layer.num_src;
-  const int num_dst = layer.num_dst;
   const int f = wh.cols();
-  OPENIMA_CHECK_EQ(wh.rows(), num_src);
-  OPENIMA_CHECK_GE(num_src, num_dst);  // dst ids are a prefix of src ids
   OPENIMA_CHECK_EQ(a_src.rows(), 1);
   OPENIMA_CHECK_EQ(a_src.cols(), f);
   OPENIMA_CHECK_EQ(a_dst.rows(), 1);
   OPENIMA_CHECK_EQ(a_dst.cols(), f);
-
-  const exec::Context& ex = exec::Get(exec_ctx);
-  const la::backend::KernelBackend& be = la::backend::Resolve(exec_ctx);
-  const la::Matrix& whv = wh.value();
-  const float* asrc = a_src.value().Row(0);
-  const float* adst = a_dst.value().Row(0);
   const int64_t num_edges = layer.num_edges();
-
-  // Per-source attention scores s_src(j) = wh_j . a_src over the whole
-  // frontier; s_dst(i) only over the dst prefix (wh row i doubles as dst
-  // node i's projection). Same fixed per-row accumulation as the full-graph
-  // kernel.
-  la::PoolBuffer ssrc(num_src, exec_ctx), sdst(std::max(num_dst, 1), exec_ctx);
-  ex.ParallelFor(num_src, std::max<int64_t>(1, 8192 / std::max(1, f)),
-                 [&](int64_t r0, int64_t r1) {
-                   for (int64_t i = r0; i < r1; ++i) {
-                     const float* row = whv.Row(static_cast<int>(i));
-                     double d1 = 0.0, d2 = 0.0;
-                     for (int j = 0; j < f; ++j) {
-                       d1 += static_cast<double>(row[j]) * asrc[j];
-                       d2 += static_cast<double>(row[j]) * adst[j];
-                     }
-                     ssrc[static_cast<size_t>(i)] = static_cast<float>(d1);
-                     if (i < num_dst) {
-                       sdst[static_cast<size_t>(i)] = static_cast<float>(d2);
-                     }
-                   }
-                 });
-
-  // Per-edge pre-activations / coefficients / dropout mask in the sampled
-  // layer's CSR order (see GatAttention for why these are pool-backed
-  // Matrix rows and why the mask draw is serial).
   const int ne = static_cast<int>(num_edges);
   OPENIMA_CHECK_EQ(static_cast<int64_t>(ne), num_edges);
+
+  // Closure state in the sampled layer's CSR order (see GatAttention).
   la::Matrix pre(1, ne);
   la::Matrix alpha(1, ne);
-  la::Matrix mask;
-  const bool use_mask = training && attn_dropout > 0.0f;
-  if (use_mask) {
-    OPENIMA_CHECK(rng != nullptr);
-    mask = la::Matrix(1, ne);
-    const float keep_scale = 1.0f / (1.0f - attn_dropout);
-    for (int64_t e = 0; e < num_edges; ++e) {
-      mask.data()[e] = rng->Bernoulli(attn_dropout) ? 0.0f : keep_scale;
-    }
-  }
-
-  const auto& row_ptr = layer.row_ptr;
-  const auto& col_idx = layer.col_idx;
-
-  // Attention + aggregation over destination rows (edge-softmax over the
-  // sampled frontier). Row-local softmax with max-shift, accumulation via
-  // the backend AxpyRow kernel (bit-identical across backends).
-  la::Matrix out(num_dst, f);
-  ex.ParallelFor(num_dst, NodeGrain(num_dst), [&](int64_t r0, int64_t r1) {
-    for (int64_t i = r0; i < r1; ++i) {
-      const int64_t begin = row_ptr[static_cast<size_t>(i)];
-      const int64_t end = row_ptr[static_cast<size_t>(i) + 1];
-      float mx = -std::numeric_limits<float>::infinity();
-      for (int64_t e = begin; e < end; ++e) {
-        const int j = col_idx[static_cast<size_t>(e)];
-        float v = sdst[static_cast<size_t>(i)] + ssrc[static_cast<size_t>(j)];
-        if (v <= 0.0f) v *= leaky_slope;
-        pre.data()[static_cast<size_t>(e)] = v;
-        mx = std::max(mx, v);
-      }
-      double denom = 0.0;
-      for (int64_t e = begin; e < end; ++e) {
-        const float a = std::exp(pre.data()[static_cast<size_t>(e)] - mx);
-        alpha.data()[static_cast<size_t>(e)] = a;
-        denom += a;
-      }
-      const float inv = static_cast<float>(1.0 / denom);
-      float* orow = out.Row(static_cast<int>(i));
-      for (int64_t e = begin; e < end; ++e) {
-        alpha.data()[static_cast<size_t>(e)] *= inv;
-        float coeff = alpha.data()[static_cast<size_t>(e)];
-        if (use_mask) coeff *= mask.data()[static_cast<size_t>(e)];
-        be.AxpyRow(coeff, whv.Row(col_idx[static_cast<size_t>(e)]), orow, f);
-      }
-    }
-  });
+  la::Matrix mask = AttentionMask(num_edges, attn_dropout, training, rng);
+  const bool use_mask = !mask.empty();
+  la::Matrix out(layer.num_dst, f);
+  AttendSampled(layer, wh.value(), a_src.value().Row(0), a_dst.value().Row(0),
+                leaky_slope, use_mask ? mask.data() : nullptr, pre.data(),
+                alpha.data(), out.data(), f, exec_ctx);
 
   // The sampled layer is owned by the trainer's per-batch block and must
   // outlive the backward pass; captured by pointer like the full graph.
@@ -614,6 +630,72 @@ Variable GatLayer::ForwardSampled(const graph::SampledLayer& layer,
   return ops::AddRowBroadcast(out, bias_);
 }
 
+la::Matrix GatLayer::ForwardFrozen(const graph::Graph& graph,
+                                   const la::Matrix& x) const {
+  return FrozenHeads(&graph, nullptr, x);
+}
+
+la::Matrix GatLayer::ForwardSampledFrozen(const graph::SampledLayer& layer,
+                                          const la::Matrix& x) const {
+  return FrozenHeads(nullptr, &layer, x);
+}
+
+la::Matrix GatLayer::FrozenHeads(const graph::Graph* graph,
+                                 const graph::SampledLayer* layer,
+                                 const la::Matrix& x) const {
+  const int rows = graph != nullptr ? graph->num_nodes() : layer->num_dst;
+  const int64_t num_edges =
+      graph != nullptr ? graph->num_directed_edges() : layer->num_edges();
+  const int f = config_.out_dim;
+  const int heads = config_.num_heads;
+  // Per-edge scratch shared by the heads: nothing reads a head's
+  // pre-activations or coefficients after its kernel returns.
+  la::PoolBuffer pre(num_edges, config_.exec), alpha(num_edges, config_.exec);
+  // Head h: its own projection GEMM, as in training, then the attention
+  // kernel accumulating into `out` rows of stride `stride`.
+  auto attend = [&](int h, float* out, int64_t stride) {
+    const size_t k = static_cast<size_t>(h);
+    const la::Matrix wh = la::Matmul(x, weights_[k].value(), config_.exec);
+    const float* asrc = a_src_[k].value().Row(0);
+    const float* adst = a_dst_[k].value().Row(0);
+    if (graph != nullptr) {
+      AttendGraph(*graph, wh, asrc, adst, config_.leaky_slope, nullptr,
+                  pre.data(), alpha.data(), out, stride, config_.exec);
+    } else {
+      AttendSampled(*layer, wh, asrc, adst, config_.leaky_slope, nullptr,
+                    pre.data(), alpha.data(), out, stride, config_.exec);
+    }
+  };
+  la::Matrix out;
+  if (config_.concat_heads) {
+    // Each head writes straight into its column slice of the concat.
+    out = la::Matrix(rows, f * heads);
+    for (int h = 0; h < heads; ++h) attend(h, out.data() + h * f, f * heads);
+  } else {
+    // The tape's association, ((h0 + h1) + h2) + ..., through one scratch
+    // matrix, then its 1/H scale.
+    out = la::Matrix(rows, f);
+    attend(0, out.data(), f);
+    la::Matrix head = heads > 1 ? la::Matrix(rows, f) : la::Matrix();
+    for (int h = 1; h < heads; ++h) {
+      if (h > 1) head.Fill(0.0f);
+      attend(h, head.data(), f);
+      la::AddInPlace(head, &out, config_.exec);
+    }
+    la::ScaleInPlace(1.0f / static_cast<float>(heads), &out, config_.exec);
+  }
+  if (config_.fused_bias_elu) {
+    const la::backend::KernelBackend& be = la::backend::Resolve(config_.exec);
+    const float* b = bias_.value().Row(0);
+    for (int i = 0; i < out.rows(); ++i) {
+      be.AddBiasEluRow(out.Row(i), b, 1.0f, out.cols());
+    }
+  } else {
+    la::AddRowBroadcastInPlace(bias_.value(), &out);
+  }
+  return out;
+}
+
 GatEncoder::GatEncoder(const GatEncoderConfig& config, Rng* rng)
     : config_(config) {
   OPENIMA_CHECK_GT(config.in_dim, 0);
@@ -663,6 +745,21 @@ Variable GatEncoder::ForwardSampled(const graph::SampledBlock& block,
   x = layer1_->ForwardSampled(block.layers[0], x, training, rng);
   x = ops::Dropout(x, config_.dropout, training, rng);
   return layer2_->ForwardSampled(block.layers[1], x, training, rng);
+}
+
+la::Matrix GatEncoder::ForwardFrozen(const graph::Graph& graph,
+                                     const la::Matrix& features) const {
+  // Eval dropout is the identity, so the frozen forward skips it.
+  return layer2_->ForwardFrozen(graph, layer1_->ForwardFrozen(graph, features));
+}
+
+la::Matrix GatEncoder::ForwardSampledFrozen(const graph::SampledBlock& block,
+                                            const la::Matrix& features) const {
+  OPENIMA_CHECK_EQ(block.layers.size(), 2u)
+      << "GatEncoder is two layers deep; sample blocks with num_layers=2";
+  OPENIMA_CHECK_EQ(features.rows(), block.num_input());
+  return layer2_->ForwardSampledFrozen(
+      block.layers[1], layer1_->ForwardSampledFrozen(block.layers[0], features));
 }
 
 }  // namespace openima::nn

@@ -25,7 +25,10 @@ namespace openima::nn {
 /// (inverted dropout, no renormalization — GAT reference semantics).
 /// Forward and backward are parallelized over node ranges through `exec`
 /// (nullptr = process default); the backward pass is gather-based via
-/// Graph::reverse_edge() and deterministic for any thread count.
+/// Graph::reverse_edge() and deterministic for any thread count. The
+/// forward is the attention kernel GatLayer::ForwardFrozen also runs; this
+/// wrapper adds the tape node and keeps the per-edge state its backward
+/// reads.
 autograd::Variable GatAttention(const graph::Graph& graph,
                                 const autograd::Variable& wh,
                                 const autograd::Variable& a_src,
@@ -91,9 +94,24 @@ class GatLayer : public Module {
                                     const autograd::Variable& x, bool training,
                                     Rng* rng) const;
 
+  /// Tape-free eval forward: the bits of Forward(graph, x, false, ...) with
+  /// no graph node, closure or gradient buffer — each head's projection and
+  /// attention kernel run straight into the combined output.
+  la::Matrix ForwardFrozen(const graph::Graph& graph,
+                           const la::Matrix& x) const;
+
+  /// Tape-free counterpart of ForwardSampled in eval mode.
+  la::Matrix ForwardSampledFrozen(const graph::SampledLayer& layer,
+                                  const la::Matrix& x) const;
+
   const GatLayerConfig& config() const { return config_; }
 
  private:
+  // The frozen forward over exactly one of the two CSR views.
+  la::Matrix FrozenHeads(const graph::Graph* graph,
+                         const graph::SampledLayer* layer,
+                         const la::Matrix& x) const;
+
   GatLayerConfig config_;
   std::vector<autograd::Variable> weights_;  // per head, in_dim x out_dim
   std::vector<autograd::Variable> a_src_;    // per head, 1 x out_dim
@@ -146,6 +164,12 @@ class GatEncoder : public Encoder {
   autograd::Variable ForwardSampled(const graph::SampledBlock& block,
                                     const autograd::Variable& features,
                                     bool training, Rng* rng) const override;
+
+  la::Matrix ForwardFrozen(const graph::Graph& graph,
+                           const la::Matrix& features) const override;
+
+  la::Matrix ForwardSampledFrozen(const graph::SampledBlock& block,
+                                  const la::Matrix& features) const override;
 
   int embedding_dim() const override { return config_.embedding_dim; }
 

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "src/autograd/ops.h"
+#include "src/la/matrix_ops.h"
 #include "src/util/logging.h"
 
 namespace openima::nn {
@@ -91,6 +92,20 @@ Variable GcnEncoder::Forward(const graph::Graph& graph,
   x = ops::Elu(x);
   x = ops::Dropout(x, config_.dropout, training, rng);
   return GcnAggregate(graph, layer2_->Forward(x), config_.exec);
+}
+
+la::Matrix GcnEncoder::ForwardFrozen(const graph::Graph& graph,
+                                     const la::Matrix& features) const {
+  OPENIMA_CHECK_EQ(features.rows(), graph.num_nodes());
+  OPENIMA_CHECK(graph.has_self_loops())
+      << "GCN normalization expects self-loops";
+  const std::vector<float> inv_sqrt_deg = InvSqrtDegrees(graph);
+  const exec::Context& ex = exec::Get(config_.exec);
+  // Eval dropout is the identity, so the frozen forward skips it.
+  la::Matrix x =
+      Aggregate(graph, layer1_->ForwardFrozen(features), inv_sqrt_deg, ex);
+  la::EluInPlace(1.0f, &x);
+  return Aggregate(graph, layer2_->ForwardFrozen(x), inv_sqrt_deg, ex);
 }
 
 std::unique_ptr<Encoder> MakeEncoder(const GatEncoderConfig& config,

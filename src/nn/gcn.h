@@ -30,6 +30,9 @@ class GcnEncoder : public Encoder {
                              const autograd::Variable& features, bool training,
                              Rng* rng) const override;
 
+  la::Matrix ForwardFrozen(const graph::Graph& graph,
+                           const la::Matrix& features) const override;
+
   int embedding_dim() const override { return config_.embedding_dim; }
 
   const GatEncoderConfig& config() const { return config_; }

@@ -1,6 +1,7 @@
 #include "src/nn/linear.h"
 
 #include "src/autograd/ops.h"
+#include "src/la/matrix_ops.h"
 #include "src/nn/init.h"
 
 namespace openima::nn {
@@ -19,6 +20,12 @@ autograd::Variable Linear::Forward(const autograd::Variable& x) const {
   if (bias_.defined()) {
     out = autograd::ops::AddRowBroadcast(out, bias_);
   }
+  return out;
+}
+
+la::Matrix Linear::ForwardFrozen(const la::Matrix& x) const {
+  la::Matrix out = la::Matmul(x, weight_.value(), exec_);
+  if (bias_.defined()) la::AddRowBroadcastInPlace(bias_.value(), &out);
   return out;
 }
 

@@ -19,6 +19,10 @@ class Linear : public Module {
 
   autograd::Variable Forward(const autograd::Variable& x) const;
 
+  /// Tape-free Forward: the same bits as Forward(Leaf(x)).value(), with no
+  /// graph node or gradient buffer.
+  la::Matrix ForwardFrozen(const la::Matrix& x) const;
+
   const autograd::Variable& weight() const { return weight_; }
 
   int in_dim() const { return weight_.rows(); }

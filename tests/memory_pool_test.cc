@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <cstdio>
 #include <random>
 #include <vector>
 
@@ -92,6 +95,42 @@ TEST(PoolTest, StressMixedShapesShuffledReleaseOrder) {
   EXPECT_EQ(s.outstanding, 0);
   EXPECT_EQ(s.hits + s.misses, s.acquires);
 }
+
+#if defined(__GLIBC__)
+/// Resident set size of this process, from /proc/self/statm.
+int64_t ResidentBytes() {
+  std::FILE* f = std::fopen("/proc/self/statm", "r");
+  if (f == nullptr) return -1;
+  long size = 0, resident = 0;
+  const int got = std::fscanf(f, "%ld %ld", &size, &resident);
+  std::fclose(f);
+  return got == 2 ? int64_t{resident} * sysconf(_SC_PAGESIZE) : -1;
+}
+
+/// Large buckets go back to the system on Trim() whatever glibc's state.
+/// Freeing a large mmapped block raises glibc's dynamic mmap threshold past
+/// it; operator new[] then serves 4 MiB from a heap that glibc does not
+/// trim, so a pool that took its buckets there stayed resident.
+TEST(PoolTest, TrimReturnsLargeBucketsToTheSystem) {
+  char* volatile block = new char[16 << 20];
+  block[0] = 1;
+  delete[] block;
+
+  constexpr int64_t kFloats = int64_t{1} << 20;  // 4 MiB buckets
+  la::Pool pool;
+  float* a = pool.Acquire(kFloats);
+  float* b = pool.Acquire(kFloats);
+  std::fill(a, a + kFloats, 1.0f);
+  std::fill(b, b + kFloats, 2.0f);
+  pool.Release(a, kFloats);
+  pool.Release(b, kFloats);
+  const int64_t before = ResidentBytes();
+  ASSERT_GT(before, 0);
+  pool.Trim();
+  EXPECT_GE(before - ResidentBytes(), int64_t{7} << 20)
+      << "Trim() kept the 8 MiB of buckets resident";
+}
+#endif
 
 // ---------------------------------------------------------------------------
 // Bindings: thread-local routing of Matrix / PoolBuffer storage

@@ -20,7 +20,9 @@
 #include "src/core/serve.h"
 #include "src/graph/splits.h"
 #include "src/graph/synthetic.h"
+#include "src/la/pool.h"
 #include "src/obs/obs.h"
+#include "src/util/rng.h"
 
 namespace openima {
 namespace {
@@ -184,6 +186,36 @@ TEST(ServeTest, ClassifyRejectsBadIds) {
   // The session stays usable after a rejected request.
   EXPECT_TRUE(session->Classify({5, 6}, 0, &out).ok());
   EXPECT_EQ(out.size(), 2u);
+}
+
+/// A session draws every matrix of a request from its own pool: once a few
+/// requests have warmed it, further requests allocate no matrix storage
+/// outside it (the tape path made about 87 such allocations per request).
+TEST(ServeTest, WarmClassifyMakesNoUnpooledAllocations) {
+  Fixture fx = SmallProblem();
+  const std::string path = TrainAndSave(fx, "serve_allocs.ckpt", 5);
+  auto service =
+      core::InferenceService::Load(path, &fx.dataset, core::ServeOptions{});
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  auto session = (*service)->NewSession();
+  Rng rng(9);
+  std::vector<core::ClassifyResult> out;
+  for (uint64_t tag = 0; tag < 4; ++tag) {
+    ASSERT_TRUE(session
+                    ->Classify(rng.SampleWithoutReplacement(
+                                   fx.dataset.num_nodes(), 8),
+                               tag, &out)
+                    .ok());
+  }
+  const int64_t before = la::UnpooledAllocCount();
+  for (uint64_t tag = 4; tag < 20; ++tag) {
+    ASSERT_TRUE(session
+                    ->Classify(rng.SampleWithoutReplacement(
+                                   fx.dataset.num_nodes(), 8),
+                               tag, &out)
+                    .ok());
+  }
+  EXPECT_EQ(la::UnpooledAllocCount() - before, 0);
 }
 
 TEST(ServeTest, LoadRejectsCheckpointWithoutCenters) {
