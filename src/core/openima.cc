@@ -756,11 +756,15 @@ OpenImaModel::MicrobatchResult OpenImaModel::RunSampledMicrobatch(
 
 std::vector<int> OpenImaModel::HeadPredict(
     const graph::Dataset& dataset) const {
+  // The eval matrices recycle through the model's arena, as in training;
+  // only the class ids leave.
+  la::PoolBinding pool_binding(config_.use_memory_pool ? &pool_ : nullptr);
   return la::RowArgmax(model_->EvalLogits(dataset));
 }
 
 StatusOr<std::vector<int>> OpenImaModel::Predict(
     const graph::Dataset& dataset, const graph::OpenWorldSplit& split) {
+  la::PoolBinding pool_binding(config_.use_memory_pool ? &pool_ : nullptr);
   const bool head_trained = config_.use_ce || config_.use_bpcl_logit;
   if (config_.large_graph_mode && head_trained &&
       config_.large_graph_head_predict) {

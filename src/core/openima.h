@@ -233,7 +233,8 @@ class OpenImaModel {
   /// of all nodes with |C_l| + |C_n| clusters, Eq. 5 alignment on the
   /// training nodes, prediction for every node. In large-graph mode,
   /// predicts with the classification head instead (§V-B point 7) — novel
-  /// head outputs are already class ids.
+  /// head outputs are already class ids. Like HeadPredict, runs on the
+  /// model's memory arena when `use_memory_pool` is set.
   StatusOr<std::vector<int>> Predict(const graph::Dataset& dataset,
                                      const graph::OpenWorldSplit& split);
 
@@ -413,7 +414,8 @@ class OpenImaModel {
   // The arena members are declared first: everything below may retain
   // pooled storage (parameter gradients, Adam moments, cached centers), and
   // members are destroyed in reverse order — the pool must die last.
-  la::Pool pool_;
+  // Mutable because the const HeadPredict binds it too.
+  mutable la::Pool pool_;
   autograd::Tape tape_;
 
   OpenImaConfig config_;

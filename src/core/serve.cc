@@ -77,6 +77,18 @@ StatusOr<std::unique_ptr<InferenceService>> InferenceService::Load(
     return Status::InvalidArgument(
         "serve requires a GAT checkpoint (sampled forward support)");
   }
+  // The probe model below is built from this geometry, and the encoder
+  // CHECK-aborts on an impossible one.
+  if (meta.num_heads < 1 || meta.hidden_dim < 1 ||
+      meta.hidden_dim % meta.num_heads != 0 || meta.embedding_dim < 1 ||
+      meta.num_seen < 1 || meta.num_novel < 1) {
+    return Status::InvalidArgument(StrFormat(
+        "checkpoint geometry is impossible: hidden_dim %d, num_heads %d, "
+        "embedding_dim %d, num_seen %d, num_novel %d (need num_heads >= 1, "
+        "hidden_dim a positive multiple of num_heads, the rest >= 1)",
+        meta.hidden_dim, meta.num_heads, meta.embedding_dim, meta.num_seen,
+        meta.num_novel));
+  }
 
   auto service = std::unique_ptr<InferenceService>(new InferenceService());
   service->dataset_ = dataset;

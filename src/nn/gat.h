@@ -13,6 +13,9 @@
 
 namespace openima::nn {
 
+// The CSR view the attention kernel runs over (defined in gat.cc).
+struct AttentionView;
+
 /// Fused graph-attention aggregation (one head), differentiable w.r.t. the
 /// projected features `wh` and attention vectors `a_src`/`a_dst`:
 ///
@@ -24,11 +27,16 @@ namespace openima::nn {
 /// `attn_dropout` > 0 in training mode, normalized coefficients are dropped
 /// (inverted dropout, no renormalization — GAT reference semantics).
 /// Forward and backward are parallelized over node ranges through `exec`
-/// (nullptr = process default); the backward pass is gather-based via
-/// Graph::reverse_edge() and deterministic for any thread count. The
-/// forward is the attention kernel GatLayer::ForwardFrozen also runs; this
-/// wrapper adds the tape node and keeps the per-edge state its backward
-/// reads.
+/// (nullptr = process default) and deterministic for any thread count.
+///
+/// This and GatAttentionSampled are one attention op over two views of the
+/// adjacency: a destination-major CSR plus its source-major transpose, which
+/// the backward walks to turn scatter-adds into per-source gathers. The full
+/// graph is its own transpose through Graph::reverse_edge(). One kernel
+/// computes the forward, accumulating through the backend AxpyRow (pinned
+/// bit-identical across backends); GatLayer::ForwardFrozen runs the same
+/// kernel, and this op adds the tape node and the per-edge state its
+/// backward reads. `graph` must outlive the backward pass.
 autograd::Variable GatAttention(const graph::Graph& graph,
                                 const autograd::Variable& wh,
                                 const autograd::Variable& a_src,
@@ -41,13 +49,12 @@ autograd::Variable GatAttention(const graph::Graph& graph,
 /// features of the layer's source frontier (num_src x f); the result is the
 /// aggregation over the layer's destination rows (num_dst x f). Because dst
 /// local ids are a prefix of the src ids, wh row i doubles as dst node i's
-/// own projection for the s_dst score. The backward pass is gather-based
-/// through the layer's transpose (src-major) view — the sampled analogue of
-/// Graph::reverse_edge() — and bit-identical across thread counts. The
-/// per-edge accumulations route through the backend AxpyRow kernel, which
-/// is pinned bit-identical across backends, so sampled attention itself
-/// never drifts between scalar and avx2. `layer` must outlive the backward
-/// pass (the SampledBlock is owned by the trainer for the batch).
+/// own projection for the s_dst score. The backward walks the layer's own
+/// transpose view. It differs from the full graph's in one piece of
+/// arithmetic: its last pass adds dssrc_i * a_src and dsdst_i * a_dst to
+/// dwh_i as two AxpyRow calls, where the full graph adds both products in
+/// one expression. `layer` must outlive the backward pass (the SampledBlock
+/// is owned by the trainer for the batch).
 autograd::Variable GatAttentionSampled(const graph::SampledLayer& layer,
                                        const autograd::Variable& wh,
                                        const autograd::Variable& a_src,
@@ -107,10 +114,11 @@ class GatLayer : public Module {
   const GatLayerConfig& config() const { return config_; }
 
  private:
-  // The frozen forward over exactly one of the two CSR views.
-  la::Matrix FrozenHeads(const graph::Graph* graph,
-                         const graph::SampledLayer* layer,
-                         const la::Matrix& x) const;
+  // The taped and the frozen forward over one attention view.
+  autograd::Variable Heads(const AttentionView& view,
+                           const autograd::Variable& x, bool training,
+                           Rng* rng) const;
+  la::Matrix FrozenHeads(const AttentionView& view, const la::Matrix& x) const;
 
   GatLayerConfig config_;
   std::vector<autograd::Variable> weights_;  // per head, in_dim x out_dim

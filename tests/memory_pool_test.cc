@@ -326,6 +326,53 @@ TEST(AllocationRegressionTest, SteadyStateEpochsAreAllocationFree) {
   }
 }
 
+/// Predict and HeadPredict run on the model's arena too: once Train and one
+/// warm call have populated its buckets, a second call allocates no matrix
+/// storage outside it — in two-stage mode (K-Means and alignment over eval
+/// embeddings) and in large-graph head mode (argmax over eval logits).
+TEST(AllocationRegressionTest, WarmPredictIsAllocationFree) {
+  graph::SbmConfig sbm;
+  sbm.num_nodes = 120;
+  sbm.num_classes = 4;
+  sbm.feature_dim = 10;
+  sbm.avg_degree = 8.0;
+  sbm.homophily = 0.85;
+  sbm.feature_noise = 1.0;
+  auto dataset = graph::GenerateSbm(sbm, 41, "alloc-predict");
+  ASSERT_TRUE(dataset.ok());
+  graph::SplitOptions so;
+  so.labeled_per_class = 8;
+  so.val_per_class = 4;
+  auto split = graph::MakeOpenWorldSplit(*dataset, so, 42);
+  ASSERT_TRUE(split.ok());
+
+  for (const bool large_graph : {false, true}) {
+    SCOPED_TRACE(large_graph ? "large-graph head mode" : "two-stage mode");
+    core::OpenImaConfig config;
+    config.encoder.in_dim = dataset->feature_dim();
+    config.encoder.hidden_dim = 16;
+    config.encoder.embedding_dim = 16;
+    config.encoder.num_heads = 2;
+    config.num_seen = split->num_seen;
+    config.num_novel = split->num_novel;
+    config.epochs = 3;
+    config.batch_size = 128;
+    config.large_graph_mode = large_graph;
+    config.use_memory_pool = true;
+    core::OpenImaModel model(config, dataset->feature_dim(), 43);
+    ASSERT_TRUE(model.Train(*dataset, *split).ok());
+    ASSERT_TRUE(model.Predict(*dataset, *split).ok());
+    model.HeadPredict(*dataset);
+
+    int64_t before = la::UnpooledAllocCount();
+    model.HeadPredict(*dataset);
+    EXPECT_EQ(la::UnpooledAllocCount() - before, 0) << "HeadPredict";
+    before = la::UnpooledAllocCount();
+    ASSERT_TRUE(model.Predict(*dataset, *split).ok());
+    EXPECT_EQ(la::UnpooledAllocCount() - before, 0) << "Predict";
+  }
+}
+
 /// The same training run with the pool disabled allocates every epoch —
 /// the counter the regression test relies on actually measures something.
 TEST(AllocationRegressionTest, UnpooledPathAllocatesEveryEpoch) {

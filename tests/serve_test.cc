@@ -2,7 +2,8 @@
 // checkpoint, the classify contract (batched == one-by-one, deterministic
 // across sessions and tags with exhaustive fanout, LUT consistency with the
 // checkpointed alignment), and the load-time rejection paths (no centers
-// yet, wrong feature dimension, missing file, negative fanout).
+// yet, wrong feature dimension, missing file, negative fanout, impossible
+// encoder geometry).
 
 #include <gtest/gtest.h>
 
@@ -20,6 +21,7 @@
 #include "src/core/serve.h"
 #include "src/graph/splits.h"
 #include "src/graph/synthetic.h"
+#include "src/io/checkpoint.h"
 #include "src/la/pool.h"
 #include "src/obs/obs.h"
 #include "src/util/rng.h"
@@ -271,6 +273,74 @@ TEST(ServeTest, LoadRejectsNegativeFanout) {
   auto service = core::InferenceService::Load(path, &fx.dataset, options);
   ASSERT_FALSE(service.ok());
   EXPECT_EQ(service.status().code(), StatusCode::kInvalidArgument);
+}
+
+/// A checkpoint whose meta declares an impossible encoder geometry comes
+/// back as InvalidArgument rather than aborting the process while the
+/// service builds its probe encoder. Each file is a trained model's
+/// checkpoint rewritten through the container writer (checksums valid)
+/// with only the meta geometry changed.
+TEST(ServeTest, LoadRejectsImpossibleGeometry) {
+  Fixture fx = SmallProblem();
+  const std::string trained = TrainAndSave(fx, "serve_geometry.ckpt", 5);
+  auto reader = io::CheckpointReader::Open(trained);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+
+  struct Geometry {
+    const char* name;
+    int32_t hidden_dim;
+    int32_t embedding_dim;
+    int32_t num_heads;
+    int32_t num_novel;
+  };
+  // The trained model: hidden_dim 8 over 2 heads, embedding_dim 8.
+  const Geometry bad[] = {
+      {"zero_heads", 8, 8, 0, fx.split.num_novel},  // hidden % heads: SIGFPE
+      {"heads_do_not_divide", 8, 8, 3, fx.split.num_novel},
+      {"zero_hidden", 0, 8, 2, fx.split.num_novel},
+      {"zero_embedding", 8, 0, 2, fx.split.num_novel},
+      {"zero_novel", 8, 8, 2, 0},
+  };
+  for (const Geometry& g : bad) {
+    io::CheckpointWriter writer;
+    for (const std::string& name : reader->SectionNames()) {
+      auto src = reader->Section(name);
+      ASSERT_TRUE(src.ok()) << src.status().ToString();
+      io::ByteSink sink;
+      if (name == "meta") {
+        // u64 seed; u8 arch; i32 in_dim, hidden_dim, embedding_dim,
+        // num_heads, num_seen, num_novel, workers, epochs_done.
+        uint64_t seed = 0;
+        uint8_t arch = 0;
+        int32_t fields[8];
+        ASSERT_TRUE(src->ReadU64(&seed).ok());
+        ASSERT_TRUE(src->ReadU8(&arch).ok());
+        for (int32_t& v : fields) ASSERT_TRUE(src->ReadI32(&v).ok());
+        fields[1] = g.hidden_dim;
+        fields[2] = g.embedding_dim;
+        fields[3] = g.num_heads;
+        fields[5] = g.num_novel;
+        sink.PutU64(seed);
+        sink.PutU8(arch);
+        for (int32_t v : fields) sink.PutI32(v);
+      } else {
+        std::string bytes(src->remaining(), '\0');
+        ASSERT_TRUE(src->ReadBytes(bytes.data(), bytes.size()).ok());
+        sink.PutBytes(bytes.data(), bytes.size());
+      }
+      ASSERT_TRUE(writer.AddSection(name, sink).ok());
+    }
+    const std::string path =
+        TempPath((std::string("serve_") + g.name + ".ckpt").c_str());
+    ASSERT_TRUE(writer.Finish(path).ok()) << g.name;
+
+    auto service =
+        core::InferenceService::Load(path, &fx.dataset, core::ServeOptions{});
+    ASSERT_FALSE(service.ok()) << g.name;
+    EXPECT_EQ(service.status().code(), StatusCode::kInvalidArgument) << g.name;
+    EXPECT_NE(service.status().message().find("geometry"), std::string::npos)
+        << g.name << ": " << service.status().ToString();
+  }
 }
 
 // --------------------------------------- live observability on serve --
