@@ -662,8 +662,8 @@ class StreamedSupCon {
     tile_buf.reserve(static_cast<size_t>(chunks));
     scratch_buf.reserve(static_cast<size_t>(chunks));
     for (int64_t c = 0; c < chunks; ++c) {
-      tile_buf.emplace_back(int64_t{std::min(b, kSupConTileRows)} * b, ctx_);
-      scratch_buf.emplace_back(scratch_floats, ctx_);
+      tile_buf.emplace_back(int64_t{std::min(b, kSupConTileRows)} * b);
+      scratch_buf.emplace_back(scratch_floats);
     }
     exec::Get(ctx_).ParallelForChunks(
         tiles, grain, [&](int64_t c, int64_t t0, int64_t t1) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <string>
 
 #include "src/cluster/kmeans.h"
 #include "src/la/matrix_ops.h"
@@ -101,25 +102,80 @@ StatusOr<std::vector<int>> ClusterDetectedOod(
   return predictions;
 }
 
-Status FinishEpochTelemetry(const char* trainer, int epoch, double loss,
-                            const std::vector<autograd::Variable>& parameters,
-                            int64_t watchdog_events_before) {
-  obs::CountEpoch();
-  OPENIMA_RETURN_IF_ERROR(obs::Watchdog::ConsumeStatus());
-  if (!obs::TelemetryEnabled()) return Status::OK();
-  obs::EpochRecord record;
-  record.trainer = trainer;
-  record.epoch = epoch;
-  record.loss = loss;
-  obs::GradNormAccumulator norms;
-  for (const auto& p : parameters) {
-    if (!p.HasGrad()) continue;
-    norms.Add(p.grad().data(), p.grad().size());
+FullGraphBaseline::FullGraphBaseline(const char* trainer,
+                                     const BaselineConfig& config, int in_dim,
+                                     uint64_t seed, int head_outputs)
+    : config_(config), rng_(seed), trainer_(trainer) {
+  config_.encoder.in_dim = in_dim;
+  if (head_outputs > 0) {
+    model_ = std::make_unique<core::EncoderWithHead>(config_.encoder,
+                                                     head_outputs, &rng_);
+    InitOptimizer(model_->parameters());
   }
-  record.grad_norm = norms.global();
-  record.param_grad_norms = norms.per_param();
-  record.watchdog_events = obs::Watchdog::events() - watchdog_events_before;
-  return obs::AppendTelemetry(record);
+}
+
+void FullGraphBaseline::InitOptimizer(
+    std::vector<autograd::Variable> parameters) {
+  nn::AdamOptions adam;
+  adam.lr = config_.lr;
+  adam.weight_decay = config_.weight_decay;
+  parameters_ = parameters;
+  optimizer_ = std::make_unique<nn::Adam>(std::move(parameters), adam);
+}
+
+void FullGraphBaseline::AddLoss(autograd::Variable* total,
+                                const autograd::Variable& piece) {
+  *total = total->defined() ? autograd::ops::Add(*total, piece) : piece;
+}
+
+Status FullGraphBaseline::Train(const graph::Dataset& dataset,
+                                const graph::OpenWorldSplit& split) {
+  // Arena-backed training: matrices and graph nodes built per step
+  // recycle through arena_, so steady-state epochs stop allocating.
+  nn::TrainingArena::Binding arena_binding(&arena_);
+
+  for (int epoch = 0; epoch < config_.epochs; ++epoch) {
+    OPENIMA_OBS_PHASE("epoch");
+    // The previous iteration's graph is freed by now; recycle it.
+    arena_.EndEpoch();
+    const autograd::Variable total = EpochLoss(dataset, split, epoch);
+    if (!total.defined()) {
+      return Status::FailedPrecondition(std::string("no ") + trainer_ +
+                                        " loss component active");
+    }
+    const int64_t watchdog_before = obs::Watchdog::events();
+    for (autograd::Variable& p : parameters_) p.ZeroGrad();
+    total.Backward();
+    optimizer_->Step();
+
+    obs::CountEpoch();
+    OPENIMA_RETURN_IF_ERROR(obs::Watchdog::ConsumeStatus());
+    if (!obs::TelemetryEnabled()) continue;
+    obs::EpochRecord record;
+    record.trainer = trainer_;
+    record.epoch = epoch;
+    record.loss = total.value()(0, 0);
+    obs::GradNormAccumulator norms;
+    for (const autograd::Variable& p : parameters_) {
+      if (!p.HasGrad()) continue;
+      norms.Add(p.grad().data(), p.grad().size());
+    }
+    record.grad_norm = norms.global();
+    record.param_grad_norms = norms.per_param();
+    record.watchdog_events = obs::Watchdog::events() - watchdog_before;
+    OPENIMA_RETURN_IF_ERROR(obs::AppendTelemetry(record));
+  }
+  return Status::OK();
+}
+
+StatusOr<std::vector<int>> FullGraphBaseline::Predict(
+    const graph::Dataset& dataset, const graph::OpenWorldSplit& split) {
+  (void)split;
+  return la::RowArgmax(model_->EvalLogits(dataset));
+}
+
+la::Matrix FullGraphBaseline::Embeddings(const graph::Dataset& dataset) const {
+  return model_->EvalEmbeddings(dataset);
 }
 
 }  // namespace openima::baselines

@@ -1,13 +1,9 @@
 #ifndef OPENIMA_BASELINES_OODGAT_H_
 #define OPENIMA_BASELINES_OODGAT_H_
 
-#include <memory>
 #include <string>
 
 #include "src/baselines/common.h"
-#include "src/core/classifier.h"
-#include "src/core/encoder_with_head.h"
-#include "src/nn/adam.h"
 
 namespace openima::baselines {
 
@@ -29,29 +25,22 @@ struct OodGatOptions {
 /// bimodalizes unlabeled prediction entropy, and an edge-consistency
 /// regularizer. At prediction time, entropy is the OOD score; detected OOD
 /// nodes are post-clustered into num_novel K-Means clusters (the dagger).
-class OodGatClassifier : public core::OpenWorldClassifier {
+class OodGatClassifier : public FullGraphBaseline {
  public:
   OodGatClassifier(const BaselineConfig& config, const OodGatOptions& options,
                    int in_dim, uint64_t seed);
 
-  Status Train(const graph::Dataset& dataset,
-               const graph::OpenWorldSplit& split) override;
   StatusOr<std::vector<int>> Predict(
       const graph::Dataset& dataset,
       const graph::OpenWorldSplit& split) override;
-  la::Matrix Embeddings(const graph::Dataset& dataset) const override;
   std::string name() const override { return "OODGAT"; }
 
  private:
-  // Declared first among data members: everything below may retain
-  // pooled storage (parameter gradients, Adam moments, prototypes),
-  // and the arena pool must be destroyed after all of it.
-  nn::TrainingArena arena_;
-  BaselineConfig config_;
+  autograd::Variable EpochLoss(const graph::Dataset& dataset,
+                               const graph::OpenWorldSplit& split,
+                               int epoch) override;
+
   OodGatOptions options_;
-  Rng rng_;
-  std::unique_ptr<core::EncoderWithHead> model_;  // head over seen classes
-  std::unique_ptr<nn::Adam> optimizer_;
 };
 
 }  // namespace openima::baselines

@@ -7,8 +7,6 @@
 #include "src/cluster/kmeans.h"
 #include "src/core/positive_sets.h"
 #include "src/la/matrix_ops.h"
-#include "src/obs/obs.h"
-#include "src/util/logging.h"
 
 namespace openima::baselines {
 
@@ -18,18 +16,9 @@ using autograd::Variable;
 OpenConClassifier::OpenConClassifier(const BaselineConfig& config,
                                      const OpenConOptions& options, int in_dim,
                                      uint64_t seed)
-    : config_(config), options_(options), rng_(seed) {
-  nn::GatEncoderConfig enc = config.encoder;
-  enc.in_dim = in_dim;
-  config_.encoder = enc;
-  model_ = std::make_unique<core::EncoderWithHead>(enc, config.num_classes(),
-                                                   &rng_);
-  nn::AdamOptions adam;
-  adam.lr = config.lr;
-  adam.weight_decay = config.weight_decay;
-  optimizer_ = std::make_unique<nn::Adam>(model_->parameters(), adam);
-  prototypes_ = la::Matrix(config.num_classes(), enc.embedding_dim);
-}
+    : FullGraphBaseline("OpenCon", config, in_dim, seed, config.num_classes()),
+      options_(options),
+      prototypes_(config.num_classes(), config.encoder.embedding_dim) {}
 
 std::vector<int> OpenConClassifier::PrototypePseudoLabels(
     const la::Matrix& normalized_emb, const graph::OpenWorldSplit& split) {
@@ -137,71 +126,48 @@ std::vector<int> OpenConClassifier::PrototypePseudoLabels(
   return pseudo;
 }
 
-Status OpenConClassifier::Train(const graph::Dataset& dataset,
-                                const graph::OpenWorldSplit& split) {
+Variable OpenConClassifier::EpochLoss(const graph::Dataset& dataset,
+                                      const graph::OpenWorldSplit& split,
+                                      int epoch) {
+  (void)epoch;
   const int n = dataset.num_nodes();
-  const std::vector<int> train_labels = TrainLabels(split);
+  la::Matrix norm_emb = model_->EvalEmbeddings(dataset);
+  la::RowL2NormalizeInPlace(&norm_emb);
+  const std::vector<int> pseudo = PrototypePseudoLabels(norm_emb, split);
 
-  // Arena-backed training: matrices and graph nodes built per step
-  // recycle through arena_, so steady-state epochs stop allocating.
-  nn::TrainingArena::Binding arena_binding(&arena_);
+  Variable z1 = model_->Embed(dataset, /*training=*/true, &rng_);
+  Variable z2 = model_->Embed(dataset, /*training=*/true, &rng_);
 
-  for (int epoch = 0; epoch < config_.epochs; ++epoch) {
-    OPENIMA_OBS_PHASE("epoch");
-    // The previous iteration's graph is freed by now; recycle it.
-    arena_.EndEpoch();
-    la::Matrix norm_emb = model_->EvalEmbeddings(dataset);
-    la::RowL2NormalizeInPlace(&norm_emb);
-    const std::vector<int> pseudo = PrototypePseudoLabels(norm_emb, split);
-
-    Variable z1 = model_->Embed(dataset, /*training=*/true, &rng_);
-    Variable z2 = model_->Embed(dataset, /*training=*/true, &rng_);
-
-    Variable total;
-    auto add_loss = [&total](const Variable& piece) {
-      total = total.defined() ? ops::Add(total, piece) : piece;
-    };
-
-    if (options_.ce_weight > 0.0f && !split.train_nodes.empty()) {
-      Variable logits = model_->Logits(z1);
-      add_loss(ops::Scale(
-          ops::SoftmaxCrossEntropy(ops::GatherRows(logits, split.train_nodes),
-                                   train_labels),
-          options_.ce_weight));
-    }
-
-    if (options_.con_weight > 0.0f) {
-      const auto blocks = ShuffledBlocks(n, config_.batch_size, &rng_);
-      const float scale =
-          options_.con_weight / static_cast<float>(blocks.size());
-      for (const auto& block : blocks) {
-        std::vector<int> batch_labels;
-        batch_labels.reserve(block.size());
-        for (int v : block) {
-          batch_labels.push_back(pseudo[static_cast<size_t>(v)]);
-        }
-        const auto positives = core::BuildPositiveSets(batch_labels);
-        Variable zb = ops::ConcatRows(
-            {ops::GatherRows(z1, block), ops::GatherRows(z2, block)});
-        zb = ops::RowL2Normalize(zb);
-        add_loss(ops::Scale(ops::SupConLoss(zb, positives, options_.con_temp,
-                                            config_.encoder.exec),
-                            scale));
-      }
-    }
-
-    if (!total.defined()) {
-      return Status::FailedPrecondition("no OpenCon loss component active");
-    }
-    const int64_t watchdog_before = obs::Watchdog::events();
-    model_->ZeroGrad();
-    total.Backward();
-    optimizer_->Step();
-    OPENIMA_RETURN_IF_ERROR(FinishEpochTelemetry(
-        "OpenCon", epoch, total.value()(0, 0), model_->parameters(),
-        watchdog_before));
+  Variable total;
+  if (options_.ce_weight > 0.0f && !split.train_nodes.empty()) {
+    Variable logits = model_->Logits(z1);
+    AddLoss(&total, ops::Scale(ops::SoftmaxCrossEntropy(
+                                   ops::GatherRows(logits, split.train_nodes),
+                                   TrainLabels(split)),
+                               options_.ce_weight));
   }
-  return Status::OK();
+
+  if (options_.con_weight > 0.0f) {
+    const auto blocks = ShuffledBlocks(n, config_.batch_size, &rng_);
+    const float scale =
+        options_.con_weight / static_cast<float>(blocks.size());
+    for (const auto& block : blocks) {
+      std::vector<int> batch_labels;
+      batch_labels.reserve(block.size());
+      for (int v : block) {
+        batch_labels.push_back(pseudo[static_cast<size_t>(v)]);
+      }
+      const auto positives = core::BuildPositiveSets(batch_labels);
+      Variable zb = ops::ConcatRows(
+          {ops::GatherRows(z1, block), ops::GatherRows(z2, block)});
+      zb = ops::RowL2Normalize(zb);
+      AddLoss(&total, ops::Scale(ops::SupConLoss(zb, positives,
+                                                 options_.con_temp,
+                                                 config_.encoder.exec),
+                                 scale));
+    }
+  }
+  return total;
 }
 
 StatusOr<std::vector<int>> OpenConClassifier::Predict(
@@ -229,10 +195,6 @@ StatusOr<std::vector<int>> OpenConClassifier::Predict(
   la::RowL2NormalizeInPlace(&emb);
   la::Matrix sims = la::MatmulNT(emb, prototypes_);
   return la::RowArgmax(sims);
-}
-
-la::Matrix OpenConClassifier::Embeddings(const graph::Dataset& dataset) const {
-  return model_->EvalEmbeddings(dataset);
 }
 
 }  // namespace openima::baselines

@@ -1,13 +1,9 @@
 #ifndef OPENIMA_BASELINES_OPENCON_H_
 #define OPENIMA_BASELINES_OPENCON_H_
 
-#include <memory>
 #include <string>
 
 #include "src/baselines/common.h"
-#include "src/core/classifier.h"
-#include "src/core/encoder_with_head.h"
-#include "src/nn/adam.h"
 
 namespace openima::baselines {
 
@@ -33,36 +29,29 @@ struct OpenConOptions {
 /// and learned with a SupCon-style loss over the pseudo labels; prototypes
 /// track class means by EMA. Predicts by nearest prototype (or two-stage
 /// K-Means for the dagger variant).
-class OpenConClassifier : public core::OpenWorldClassifier {
+class OpenConClassifier : public FullGraphBaseline {
  public:
   OpenConClassifier(const BaselineConfig& config,
                     const OpenConOptions& options, int in_dim, uint64_t seed);
 
-  Status Train(const graph::Dataset& dataset,
-               const graph::OpenWorldSplit& split) override;
   StatusOr<std::vector<int>> Predict(
       const graph::Dataset& dataset,
       const graph::OpenWorldSplit& split) override;
-  la::Matrix Embeddings(const graph::Dataset& dataset) const override;
   std::string name() const override {
     return options_.two_stage_predict ? "OpenCon-2stage" : "OpenCon";
   }
 
  private:
+  autograd::Variable EpochLoss(const graph::Dataset& dataset,
+                               const graph::OpenWorldSplit& split,
+                               int epoch) override;
+
   /// Pseudo label of every node from the current prototypes (manual labels
   /// for training nodes). Also refreshes the prototype matrix by EMA.
   std::vector<int> PrototypePseudoLabels(const la::Matrix& normalized_emb,
                                          const graph::OpenWorldSplit& split);
 
-  // Declared first among data members: everything below may retain
-  // pooled storage (parameter gradients, Adam moments, prototypes),
-  // and the arena pool must be destroyed after all of it.
-  nn::TrainingArena arena_;
-  BaselineConfig config_;
   OpenConOptions options_;
-  Rng rng_;
-  std::unique_ptr<core::EncoderWithHead> model_;
-  std::unique_ptr<nn::Adam> optimizer_;
   la::Matrix prototypes_;  // num_classes x embedding_dim, L2-normalized rows
   bool prototypes_initialized_ = false;
 };

@@ -5,8 +5,6 @@
 #include <string>
 
 #include "src/baselines/common.h"
-#include "src/core/classifier.h"
-#include "src/nn/adam.h"
 #include "src/nn/gat.h"
 #include "src/nn/linear.h"
 
@@ -28,36 +26,29 @@ struct OpenWglOptions {
 /// keeps likely-unseen nodes uncertain. Prediction: confidence thresholding
 /// (1 - max softmax) detects OOD nodes, which are post-clustered into
 /// num_novel K-Means clusters (the dagger extension).
-class OpenWglClassifier : public core::OpenWorldClassifier {
+class OpenWglClassifier : public FullGraphBaseline {
  public:
   OpenWglClassifier(const BaselineConfig& config,
                     const OpenWglOptions& options, int in_dim, uint64_t seed);
 
-  Status Train(const graph::Dataset& dataset,
-               const graph::OpenWorldSplit& split) override;
   StatusOr<std::vector<int>> Predict(
       const graph::Dataset& dataset,
       const graph::OpenWorldSplit& split) override;
+  /// Mean latent (mu) embeddings in eval mode.
   la::Matrix Embeddings(const graph::Dataset& dataset) const override;
   std::string name() const override { return "OpenWGL"; }
 
  private:
-  /// Mean latent (mu) embeddings in eval mode.
-  la::Matrix EvalMu(const graph::Dataset& dataset) const;
+  autograd::Variable EpochLoss(const graph::Dataset& dataset,
+                               const graph::OpenWorldSplit& split,
+                               int epoch) override;
 
-  // Declared first among data members: everything below may retain
-  // pooled storage (parameter gradients, Adam moments, prototypes),
-  // and the arena pool must be destroyed after all of it.
-  nn::TrainingArena arena_;
-  BaselineConfig config_;
   OpenWglOptions options_;
-  Rng rng_;
   std::unique_ptr<nn::GatEncoder> encoder_;
   std::unique_ptr<nn::Linear> mu_layer_;
   std::unique_ptr<nn::Linear> logvar_layer_;
   std::unique_ptr<nn::Linear> head_;   // seen classes
   std::unique_ptr<nn::Linear> decoder_;  // feature reconstruction
-  std::unique_ptr<nn::Adam> optimizer_;
 };
 
 }  // namespace openima::baselines

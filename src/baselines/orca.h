@@ -1,13 +1,9 @@
 #ifndef OPENIMA_BASELINES_ORCA_H_
 #define OPENIMA_BASELINES_ORCA_H_
 
-#include <memory>
 #include <string>
 
 #include "src/baselines/common.h"
-#include "src/core/classifier.h"
-#include "src/core/encoder_with_head.h"
-#include "src/nn/adam.h"
 
 namespace openima::baselines {
 
@@ -31,31 +27,21 @@ struct OrcaOptions {
 ///       seen classes.
 /// Predicts with the classification head. `margin_scale = 0` gives the
 /// paper's ORCA-ZM ablation.
-class OrcaClassifier : public core::OpenWorldClassifier {
+class OrcaClassifier : public FullGraphBaseline {
  public:
   OrcaClassifier(const BaselineConfig& config, const OrcaOptions& options,
                  int in_dim, uint64_t seed);
 
-  Status Train(const graph::Dataset& dataset,
-               const graph::OpenWorldSplit& split) override;
-  StatusOr<std::vector<int>> Predict(
-      const graph::Dataset& dataset,
-      const graph::OpenWorldSplit& split) override;
-  la::Matrix Embeddings(const graph::Dataset& dataset) const override;
   std::string name() const override {
     return options_.margin_scale == 0.0f ? "ORCA-ZM" : "ORCA";
   }
 
  private:
-  // Declared first among data members: everything below may retain
-  // pooled storage (parameter gradients, Adam moments, prototypes),
-  // and the arena pool must be destroyed after all of it.
-  nn::TrainingArena arena_;
-  BaselineConfig config_;
+  autograd::Variable EpochLoss(const graph::Dataset& dataset,
+                               const graph::OpenWorldSplit& split,
+                               int epoch) override;
+
   OrcaOptions options_;
-  Rng rng_;
-  std::unique_ptr<core::EncoderWithHead> model_;
-  std::unique_ptr<nn::Adam> optimizer_;
 };
 
 }  // namespace openima::baselines

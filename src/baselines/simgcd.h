@@ -1,13 +1,9 @@
 #ifndef OPENIMA_BASELINES_SIMGCD_H_
 #define OPENIMA_BASELINES_SIMGCD_H_
 
-#include <memory>
 #include <string>
 
 #include "src/baselines/common.h"
-#include "src/core/classifier.h"
-#include "src/core/encoder_with_head.h"
-#include "src/nn/adam.h"
 
 namespace openima::baselines {
 
@@ -27,29 +23,19 @@ struct SimGcdOptions {
 /// softened predictions match a sharpened teacher from the other view, (b)
 /// a mean-entropy maximization regularizer, and (c) supervised CE + SupCon
 /// on labeled nodes plus unsupervised InfoNCE. Predicts with the head.
-class SimGcdClassifier : public core::OpenWorldClassifier {
+class SimGcdClassifier : public FullGraphBaseline {
  public:
   SimGcdClassifier(const BaselineConfig& config, const SimGcdOptions& options,
                    int in_dim, uint64_t seed);
 
-  Status Train(const graph::Dataset& dataset,
-               const graph::OpenWorldSplit& split) override;
-  StatusOr<std::vector<int>> Predict(
-      const graph::Dataset& dataset,
-      const graph::OpenWorldSplit& split) override;
-  la::Matrix Embeddings(const graph::Dataset& dataset) const override;
   std::string name() const override { return "SimGCD"; }
 
  private:
-  // Declared first among data members: everything below may retain
-  // pooled storage (parameter gradients, Adam moments, prototypes),
-  // and the arena pool must be destroyed after all of it.
-  nn::TrainingArena arena_;
-  BaselineConfig config_;
+  autograd::Variable EpochLoss(const graph::Dataset& dataset,
+                               const graph::OpenWorldSplit& split,
+                               int epoch) override;
+
   SimGcdOptions options_;
-  Rng rng_;
-  std::unique_ptr<core::EncoderWithHead> model_;
-  std::unique_ptr<nn::Adam> optimizer_;
 };
 
 }  // namespace openima::baselines

@@ -116,11 +116,11 @@ StatusOr<KMeansResult> ConstrainedKMeans(
   std::vector<std::vector<int>> count_partial(
       static_cast<size_t>(chunks), std::vector<int>(static_cast<size_t>(k)));
   // Steady-state iteration scratch, hoisted out of the loop and drawn from
-  // the context-resolved pool: point norms once, the n x k distance matrix
-  // and the combined sums reused every iteration.
-  la::PoolBuffer xsq(n, ctx);
+  // the bound pool: point norms once, the n x k distance matrix and the
+  // combined sums reused every iteration.
+  la::PoolBuffer xsq(n);
   la::RowSquaredNormsInto(points, xsq.data(), ctx);
-  la::PoolBuffer d2(static_cast<int64_t>(n) * k, ctx);
+  la::PoolBuffer d2(static_cast<int64_t>(n) * k);
   la::Matrix sums(k, d);
   KMeansResult result;
   result.assignments.assign(static_cast<size_t>(n), 0);

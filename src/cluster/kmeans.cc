@@ -37,7 +37,7 @@ la::Matrix KMeansPlusPlusSeed(const la::Matrix& points, int k, Rng* rng,
   centers.SetRow(0, points, first);
   la::PoolBuffer xsq_buf;
   if (row_sq_norms == nullptr) {
-    xsq_buf = la::PoolBuffer(n, &ex);
+    xsq_buf = la::PoolBuffer(n);
     la::RowSquaredNormsInto(points, xsq_buf.data(), &ex);
     row_sq_norms = xsq_buf.data();
   }
@@ -82,7 +82,7 @@ void AssignToNearestInto(const la::Matrix& points, const la::Matrix& centers,
                          const Context* ctx) {
   const int64_t n = points.rows();
   const int k = centers.rows();
-  la::PoolBuffer d2(n * k, ctx);
+  la::PoolBuffer d2(n * k);
   la::PairwiseSquaredDistancesInto(points, centers, xsq, nullptr, d2.data(),
                                    ctx);
   out->resize(static_cast<size_t>(n));
@@ -149,25 +149,25 @@ KMeansResult LloydRun(const la::Matrix& points, la::Matrix centers,
   std::vector<std::vector<int>> count_partial(
       static_cast<size_t>(chunks), std::vector<int>(static_cast<size_t>(k)));
 
-  // All float scratch is drawn from the context-resolved pool on this
-  // thread (worker threads inside ParallelFor carry no pool binding, so
-  // per-chunk slices are carved out of buffers allocated here).
+  // All float scratch is drawn from the pool bound to this thread (worker
+  // threads inside ParallelFor carry no pool binding, so per-chunk slices
+  // are carved out of buffers allocated here).
   la::PoolBuffer xsq_store;
   const float* xsq = cfg.row_sq_norms;
   if (xsq == nullptr) {
-    xsq_store = la::PoolBuffer(n, ctx);
+    xsq_store = la::PoolBuffer(n);
     la::RowSquaredNormsInto(points, xsq_store.data(), ctx);
     xsq = xsq_store.data();
   }
-  la::PoolBuffer csq(k, ctx);
-  la::PoolBuffer assigned_d2(n, ctx);
-  la::PoolBuffer d2(static_cast<int64_t>(n) * k, ctx);
+  la::PoolBuffer csq(k);
+  la::PoolBuffer assigned_d2(n);
+  la::PoolBuffer d2(static_cast<int64_t>(n) * k);
   la::PoolBuffer lower, scan;
   la::Matrix old_centers;
   std::vector<int64_t> prune_partial, fail_partial;
   if (cfg.accelerated) {
-    lower = la::PoolBuffer(n, ctx);
-    scan = la::PoolBuffer(chunks * k, ctx);
+    lower = la::PoolBuffer(n);
+    scan = la::PoolBuffer(chunks * k);
     old_centers = la::Matrix(k, d);
     prune_partial.assign(static_cast<size_t>(chunks), 0);
     fail_partial.assign(static_cast<size_t>(chunks), 0);
@@ -526,10 +526,8 @@ StatusOr<KMeansResult> MiniBatchKMeans(const la::Matrix& points,
 
   KMeansResult result;
   result.iterations = options.max_iterations;
-  if (options.final_full_assignment) {
-    result.assignments = AssignToNearest(points, centers, ctx);
-    result.inertia = Inertia(points, centers, result.assignments, ctx);
-  }
+  result.assignments = AssignToNearest(points, centers, ctx);
+  result.inertia = Inertia(points, centers, result.assignments, ctx);
   result.centers = std::move(centers);
   return result;
 }

@@ -79,9 +79,6 @@ struct MiniBatchKMeansOptions {
   int batch_size = 1024;
   int max_iterations = 100;  ///< number of mini-batch steps
   bool kmeanspp = true;      ///< seed from a sample with k-means++
-  /// After the online phase, run one full assignment pass to produce labels
-  /// and inertia.
-  bool final_full_assignment = true;
 
   /// Warm start: when non-empty (num_clusters x dim), the online phase
   /// continues from these centers instead of seeding from a sample.
@@ -92,7 +89,9 @@ struct MiniBatchKMeansOptions {
   const exec::Context* exec = nullptr;
 };
 
-/// Mini-batch K-Means with per-center learning rates 1/count.
+/// Mini-batch K-Means with per-center learning rates 1/count. The online
+/// phase ends with one full assignment pass, which gives the labels and the
+/// inertia.
 StatusOr<KMeansResult> MiniBatchKMeans(const la::Matrix& points,
                                        const MiniBatchKMeansOptions& options,
                                        Rng* rng);

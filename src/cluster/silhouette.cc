@@ -119,15 +119,15 @@ StatusOr<double> SilhouetteCoefficient(const la::Matrix& points,
                          ? options.row_sq_norms->data()
                          : nullptr;
   if (ysq == nullptr) {
-    ysq_store = la::PoolBuffer(n, ctx);
+    ysq_store = la::PoolBuffer(n);
     la::RowSquaredNormsInto(points, ysq_store.data(), ctx);
     ysq = ysq_store.data();
   }
   // Per-chunk scratch carved from buffers allocated on this thread (worker
   // threads carry no pool binding).
-  la::PoolBuffer tile_all(chunks * kAnchorBlock * kTileN, ctx);
-  la::PoolBuffer abuf_all(chunks * static_cast<int64_t>(kAnchorBlock) * d, ctx);
-  la::PoolBuffer axsq_all(chunks * kAnchorBlock, ctx);
+  la::PoolBuffer tile_all(chunks * kAnchorBlock * kTileN);
+  la::PoolBuffer abuf_all(chunks * static_cast<int64_t>(kAnchorBlock) * d);
+  la::PoolBuffer axsq_all(chunks * kAnchorBlock);
   const la::backend::KernelBackend& kbe = la::backend::Resolve(ctx);
   ex.ParallelForChunks(num_anchors, grain,
                        [&](int64_t chunk, int64_t begin, int64_t end) {

@@ -40,7 +40,6 @@ StatusOr<PseudoLabels> GenerateBiasReducedPseudoLabels(
     if (options.use_minibatch) {
       auto mb_options = options.minibatch;
       mb_options.num_clusters = options.num_clusters;
-      mb_options.final_full_assignment = true;
       if (warm) mb_options.initial_centers = options.warm_start_centers;
       auto result = cluster::MiniBatchKMeans(embeddings, mb_options, rng);
       OPENIMA_RETURN_IF_ERROR(result.status());

@@ -8,12 +8,8 @@
 
 #include "src/util/thread_pool.h"
 
-namespace openima::la {
-class Pool;  // src/la/pool.h — exec stores only a non-owning pointer
-}
-
 namespace openima::la::backend {
-class KernelBackend;  // src/la/backend/backend.h — non-owning pointer too
+class KernelBackend;  // src/la/backend/backend.h — non-owning pointer
 }
 
 namespace openima::exec {
@@ -78,13 +74,6 @@ class Context {
   static int64_t GrainForMaxChunks(int64_t n, int64_t min_grain,
                                    int64_t max_chunks);
 
-  /// Optional matrix-storage pool carried alongside the thread budget.
-  /// Kernels resolve their scratch pool via la::ResolvePool(ctx): an
-  /// explicit context pool wins over the thread-local PoolBinding. The pool
-  /// must outlive every matrix/buffer drawn through this context. Non-owning.
-  la::Pool* memory_pool() const { return memory_pool_; }
-  void set_memory_pool(la::Pool* pool) { memory_pool_ = pool; }
-
   /// Optional kernel-backend pin carried alongside the thread budget.
   /// Kernels resolve their backend via la::backend::Resolve(ctx): an
   /// explicit context backend wins over the process default (which the
@@ -100,7 +89,6 @@ class Context {
  private:
   int num_threads_ = 1;
   std::unique_ptr<ThreadPool> pool_;  // null when running inline
-  la::Pool* memory_pool_ = nullptr;
   const la::backend::KernelBackend* kernel_backend_ = nullptr;
 };
 

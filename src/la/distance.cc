@@ -54,12 +54,12 @@ void PairwiseSquaredDistancesInto(const Matrix& x, const Matrix& c,
   const int k = c.rows(), d = x.cols();
   PoolBuffer xsq_buf, csq_buf;
   if (xsq == nullptr) {
-    xsq_buf = PoolBuffer(n, ctx);
+    xsq_buf = PoolBuffer(n);
     RowSquaredNormsInto(x, xsq_buf.data(), ctx);
     xsq = xsq_buf.data();
   }
   if (csq == nullptr) {
-    csq_buf = PoolBuffer(k, ctx);
+    csq_buf = PoolBuffer(k);
     RowSquaredNormsInto(c, csq_buf.data(), ctx);
     csq = csq_buf.data();
   }

@@ -5,8 +5,6 @@
 #include <mutex>
 #include <vector>
 
-#include "src/exec/context.h"
-
 namespace openima::la {
 
 /// Counters describing a Pool's traffic. Byte counts refer to the rounded
@@ -95,16 +93,6 @@ class PoolBinding {
 /// The pool bound to the current thread (nullptr when none).
 Pool* BoundPool();
 
-/// Resolves the pool a kernel should use: an explicit pool carried by the
-/// execution context wins, otherwise the thread-local binding (may be
-/// nullptr — callers fall back to plain heap storage).
-inline Pool* ResolvePool(const exec::Context* ctx) {
-  if (ctx != nullptr && ctx->memory_pool() != nullptr) {
-    return ctx->memory_pool();
-  }
-  return BoundPool();
-}
-
 /// Number of matrix/buffer storage allocations that bypassed every pool
 /// (process-wide, monotonically increasing). The allocation-regression test
 /// asserts this does not move during a steady-state training epoch.
@@ -130,10 +118,6 @@ class PoolBuffer {
   PoolBuffer() = default;
   explicit PoolBuffer(int64_t count)
       : pool_(BoundPool()), count_(count),
-        data_(count > 0 ? internal::AcquireStorage(pool_, count) : nullptr) {}
-  /// Draws from the context-resolved pool instead of the thread binding.
-  PoolBuffer(int64_t count, const exec::Context* ctx)
-      : pool_(ResolvePool(ctx)), count_(count),
         data_(count > 0 ? internal::AcquireStorage(pool_, count) : nullptr) {}
   ~PoolBuffer() {
     if (data_ != nullptr) internal::ReleaseStorage(pool_, data_, count_);

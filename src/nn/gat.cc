@@ -105,7 +105,7 @@ void Attend(const AttentionView& view, const la::Matrix& whv,
   // on the destination prefix. Disjoint writes per node; per-node
   // accumulation order is fixed. Pooled uninitialized scratch: every entry
   // is written before it is read.
-  la::PoolBuffer ssrc(num_src, exec_ctx), sdst(std::max(num_dst, 1), exec_ctx);
+  la::PoolBuffer ssrc(num_src), sdst(std::max(num_dst, 1));
   ex.ParallelFor(num_src, std::max<int64_t>(1, 8192 / std::max(1, f)),
                  [&](int64_t r0, int64_t r1) {
                    for (int64_t i = r0; i < r1; ++i) {
@@ -225,9 +225,9 @@ Variable Attention(const AttentionView& view, const Variable& wh,
         //   order, plus dsdst[i] = sum_j de_ij (row-local accumulation).
         // Pooled uninitialized scratch: pass A writes every de/dsdst entry,
         // pass B writes every dssrc entry, before anything reads them.
-        la::PoolBuffer de(view.num_edges, exec_ctx);
-        la::PoolBuffer dssrc(num_src, exec_ctx);
-        la::PoolBuffer dsdst(std::max(num_dst, 1), exec_ctx);
+        la::PoolBuffer de(view.num_edges);
+        la::PoolBuffer dssrc(num_src);
+        la::PoolBuffer dsdst(std::max(num_dst, 1));
         la::Matrix* dwh = need_wh ? &nd->inputs[0]->grad : nullptr;
 
         ex.ParallelFor(num_dst, NodeGrain(num_dst), [&](int64_t r0,
@@ -461,8 +461,8 @@ la::Matrix GatLayer::FrozenHeads(const AttentionView& view,
   const int heads = config_.num_heads;
   // Per-edge scratch shared by the heads: nothing reads a head's
   // pre-activations or coefficients after its kernel returns.
-  la::PoolBuffer pre(view.num_edges, config_.exec);
-  la::PoolBuffer alpha(view.num_edges, config_.exec);
+  la::PoolBuffer pre(view.num_edges);
+  la::PoolBuffer alpha(view.num_edges);
   // Head h: its own projection GEMM, as in training, then the attention
   // kernel accumulating into `out` rows of stride `stride`.
   auto attend = [&](int h, float* out, int64_t stride) {

@@ -146,8 +146,9 @@ void InitTelemetryFromEnv();
 
 /// Counts one finished epoch in the windowed "train.epochs" counter. Every
 /// trainer calls it once per epoch after its optimizer step (OpenIMA from
-/// its epoch heartbeat, the baselines through FinishEpochTelemetry), so the
-/// counter's window and timing are decided here. Independent of the sink.
+/// its epoch heartbeat, the baselines from FullGraphBaseline::Train), so
+/// the counter's window and timing are decided here. Independent of the
+/// sink.
 void CountEpoch();
 
 #else  // !OPENIMA_OBS_ENABLED

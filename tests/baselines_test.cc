@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "src/autograd/tape.h"
 #include "src/baselines/cl_ladder.h"
 #include "src/baselines/common.h"
 #include "src/baselines/oodgat.h"
@@ -12,9 +17,11 @@
 #include "src/baselines/openwgl.h"
 #include "src/baselines/orca.h"
 #include "src/baselines/simgcd.h"
+#include "src/eval/method_factory.h"
 #include "src/graph/splits.h"
 #include "src/graph/synthetic.h"
 #include "src/metrics/clustering_accuracy.h"
+#include "src/obs/obs.h"
 
 namespace openima::baselines {
 namespace {
@@ -219,6 +226,112 @@ TEST(OpenWglTest, VariationalPipelineRuns) {
   for (int p : *preds) novel_assigned += p >= fx.split.num_seen;
   EXPECT_GT(novel_assigned, 0);
 }
+
+/// Prediction runs the head on the tape-free eval path, as every other
+/// baseline's eval call does: under a bound tape it draws no graph node.
+TEST(OpenWglTest, PredictDrawsNoTapeNodes) {
+  Fixture fx = MakeFixture(17);
+  OpenWglClassifier model(SmallConfig(fx, /*epochs=*/3), OpenWglOptions{},
+                          fx.dataset.feature_dim(), 42);
+  ASSERT_TRUE(model.Train(fx.dataset, fx.split).ok());
+  autograd::Tape tape;
+  {
+    autograd::TapeBinding binding(&tape);
+    ASSERT_TRUE(model.Predict(fx.dataset, fx.split).ok());
+  }
+  EXPECT_EQ(tape.stats().nodes, 0);
+}
+
+// ---------------------------------------------------------------------------
+// The shared full-graph trainer
+// ---------------------------------------------------------------------------
+
+/// With every loss weight at 0 there is nothing to minimise: Train says so,
+/// naming the trainer, before the optimizer takes a step.
+TEST(FullGraphBaselineTest, NoActiveLossFailsBeforeAnyStep) {
+  Fixture fx = MakeFixture(20);
+  const BaselineConfig config = SmallConfig(fx);
+  const int in_dim = fx.dataset.feature_dim();
+  OrcaOptions orca;
+  orca.ce_weight = orca.pairwise_weight = orca.entropy_weight = 0.0f;
+  OrcaOptions orca_zm = orca;
+  orca_zm.margin_scale = 0.0f;
+  SimGcdOptions simgcd;
+  simgcd.distill_weight = simgcd.entropy_weight = 0.0f;
+  simgcd.supervised_weight = simgcd.unsup_con_weight = 0.0f;
+  OpenConOptions opencon;
+  opencon.ce_weight = opencon.con_weight = 0.0f;
+  OpenConOptions opencon_2stage = opencon;
+  opencon_2stage.two_stage_predict = true;
+
+  using Model = std::unique_ptr<core::OpenWorldClassifier>;
+  std::vector<std::pair<std::string, Model>> models;
+  models.emplace_back(
+      "ORCA", std::make_unique<OrcaClassifier>(config, orca, in_dim, 42));
+  models.emplace_back(
+      "ORCA", std::make_unique<OrcaClassifier>(config, orca_zm, in_dim, 42));
+  models.emplace_back(
+      "SimGCD", std::make_unique<SimGcdClassifier>(config, simgcd, in_dim, 42));
+  models.emplace_back("OpenCon", std::make_unique<OpenConClassifier>(
+                                     config, opencon, in_dim, 42));
+  models.emplace_back("OpenCon", std::make_unique<OpenConClassifier>(
+                                     config, opencon_2stage, in_dim, 42));
+  for (auto& [trainer, model] : models) {
+    SCOPED_TRACE(model->name());
+    const la::Matrix before = model->Embeddings(fx.dataset);
+    const Status status = model->Train(fx.dataset, fx.split);
+    EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
+    EXPECT_EQ(status.message(), "no " + trainer + " loss component active");
+    EXPECT_TRUE(model->Embeddings(fx.dataset) == before)
+        << "the optimizer stepped before the error";
+  }
+}
+
+#if OPENIMA_OBS_ENABLED
+/// While a telemetry sink is active, every variant appends one record per
+/// epoch, in order, under its trainer label (ORCA-ZM writes "ORCA" and the
+/// two-stage OpenCon writes "OpenCon").
+TEST(FullGraphBaselineTest, WritesOneTelemetryRecordPerEpochUnderItsLabel) {
+  Fixture fx = MakeFixture(21);
+  constexpr int kEpochs = 3;
+  const std::pair<const char*, const char*> kVariants[] = {
+      {"orca", "ORCA"},       {"orca_zm", "ORCA"},
+      {"simgcd", "SimGCD"},   {"openldn", "OpenLDN"},
+      {"opencon", "OpenCon"}, {"opencon_2stage", "OpenCon"},
+      {"oodgat", "OODGAT"},   {"openwgl", "OpenWGL"}};
+  eval::MethodContext ctx;
+  ctx.in_dim = fx.dataset.feature_dim();
+  ctx.num_seen = fx.split.num_seen;
+  ctx.num_novel = fx.split.num_novel;
+  ctx.seed = 42;
+  ctx.encoder = SmallConfig(fx).encoder;
+  ctx.epochs = kEpochs;
+  ctx.batch_size = 256;
+  for (const auto& [key, trainer] : kVariants) {
+    SCOPED_TRACE(key);
+    auto model = eval::MakeClassifier(key, ctx);
+    ASSERT_TRUE(model.ok()) << model.status().ToString();
+    const std::string path =
+        ::testing::TempDir() + "/baseline_" + key + ".jsonl";
+    ASSERT_TRUE(obs::StartTelemetry(path).ok());
+    const Status trained = (*model)->Train(fx.dataset, fx.split);
+    ASSERT_TRUE(obs::StopTelemetry().ok());
+    ASSERT_TRUE(trained.ok()) << trained.ToString();
+    auto lines = obs::ReadJsonl(path);
+    ASSERT_TRUE(lines.ok()) << lines.status().ToString();
+    ASSERT_EQ(lines->size(), static_cast<size_t>(kEpochs));
+    for (size_t i = 0; i < lines->size(); ++i) {
+      auto record = obs::EpochRecord::FromJson((*lines)[i]);
+      ASSERT_TRUE(record.ok()) << record.status().ToString();
+      EXPECT_EQ(record->trainer, trainer);
+      EXPECT_EQ(record->epoch, static_cast<int>(i));
+      EXPECT_TRUE(std::isfinite(record->loss));
+      EXPECT_GT(record->grad_norm, 0.0);
+      EXPECT_FALSE(record->param_grad_norms.empty());
+    }
+  }
+}
+#endif  // OPENIMA_OBS_ENABLED
 
 // ---------------------------------------------------------------------------
 // CL ladder

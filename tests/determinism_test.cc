@@ -6,6 +6,7 @@
 #include "src/cluster/kmeans.h"
 #include "src/cluster/silhouette.h"
 #include "src/core/openima.h"
+#include "src/eval/method_factory.h"
 #include "src/exec/context.h"
 #include "src/graph/splits.h"
 #include "src/graph/synthetic.h"
@@ -184,6 +185,69 @@ TEST(PipelineDeterminismTest, OpenImaIsThreadCountInvariant) {
   EXPECT_EQ(r1.predictions, r4.predictions);
   EXPECT_EQ(r1.epoch_losses, r4.epoch_losses);
   EXPECT_EQ(r1.accuracy, r4.accuracy);
+}
+
+/// The six baselines (eight variants) train through one full-graph loop;
+/// each must give the same predictions and embeddings pinned to one or four
+/// threads. Seven epochs pass OpenLDN's warm-up, so its self-training runs.
+TEST(PipelineDeterminismTest, BaselinesAreThreadCountInvariant) {
+  graph::SbmConfig sbm;
+  sbm.num_nodes = 160;
+  sbm.num_classes = 4;
+  sbm.feature_dim = 12;
+  sbm.avg_degree = 8.0;
+  sbm.homophily = 0.85;
+  sbm.feature_noise = 1.0;
+  auto dataset = graph::GenerateSbm(sbm, 3, "determinism");
+  ASSERT_TRUE(dataset.ok());
+  graph::SplitOptions so;
+  so.labeled_per_class = 10;
+  so.val_per_class = 5;
+  auto split = graph::MakeOpenWorldSplit(*dataset, so, 4);
+  ASSERT_TRUE(split.ok());
+
+  exec::Context c1(1);
+  exec::Context c4(4);
+  struct RunOutput {
+    la::Matrix embeddings;
+    std::vector<int> predictions;
+  };
+  auto run = [&](const char* key, const exec::Context* ctx) {
+    eval::MethodContext mc;
+    mc.in_dim = dataset->feature_dim();
+    mc.num_seen = split->num_seen;
+    mc.num_novel = split->num_novel;
+    mc.seed = 99;
+    mc.encoder.hidden_dim = 16;
+    mc.encoder.embedding_dim = 16;
+    mc.encoder.num_heads = 2;
+    mc.encoder.exec = ctx;
+    mc.exec = ctx;
+    mc.epochs = 7;
+    mc.batch_size = 64;
+    mc.lr = 5e-3f;
+    RunOutput out;
+    auto model = eval::MakeClassifier(key, mc);
+    EXPECT_TRUE(model.ok());
+    if (!model.ok()) return out;
+    EXPECT_TRUE((*model)->Train(*dataset, *split).ok());
+    out.embeddings = (*model)->Embeddings(*dataset);
+    auto preds = (*model)->Predict(*dataset, *split);
+    EXPECT_TRUE(preds.ok());
+    if (preds.ok()) out.predictions = std::move(preds).value();
+    return out;
+  };
+
+  for (const char* key : {"orca", "orca_zm", "opencon", "opencon_2stage",
+                          "simgcd", "openldn", "oodgat", "openwgl"}) {
+    SCOPED_TRACE(key);
+    const RunOutput r1 = run(key, &c1);
+    const RunOutput r4 = run(key, &c4);
+    EXPECT_FALSE(r1.predictions.empty());
+    EXPECT_TRUE(r1.embeddings == r4.embeddings)
+        << "embeddings differ across thread counts";
+    EXPECT_EQ(r1.predictions, r4.predictions);
+  }
 }
 
 /// The memory arena is a pure storage optimization: where a buffer lives

@@ -11,7 +11,6 @@
 #include "src/autograd/tape.h"
 #include "src/autograd/variable.h"
 #include "src/core/openima.h"
-#include "src/exec/context.h"
 #include "src/graph/splits.h"
 #include "src/graph/synthetic.h"
 #include "src/la/matrix.h"
@@ -175,18 +174,6 @@ TEST(PoolBindingTest, NullBindingForcesHeapInsideOuterBinding) {
   EXPECT_EQ(la::BoundPool(), &pool);  // outer binding restored
   EXPECT_EQ(pool.stats().acquires, acquires_before);
   EXPECT_GT(la::UnpooledAllocCount(), unpooled_before);
-}
-
-TEST(PoolBindingTest, ResolvePoolPrefersContextThenBinding) {
-  la::Pool ctx_pool;
-  la::Pool bound_pool;
-  exec::Context ctx(1);
-  EXPECT_EQ(la::ResolvePool(nullptr), nullptr);
-  la::PoolBinding bind(&bound_pool);
-  EXPECT_EQ(la::ResolvePool(nullptr), &bound_pool);
-  EXPECT_EQ(la::ResolvePool(&ctx), &bound_pool);  // ctx without pool falls back
-  ctx.set_memory_pool(&ctx_pool);
-  EXPECT_EQ(la::ResolvePool(&ctx), &ctx_pool);
 }
 
 TEST(PoolBufferTest, DrawsFromBoundPoolAndReleasesOnDestruction) {
