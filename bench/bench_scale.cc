@@ -13,8 +13,7 @@
 //   --epochs=3 --sample-fanout=10 --batch-nodes=1024
 //   --hidden=64 --heads=2 --threads=N
 //   --workers=8                         # single run at W workers instead
-//                                       # of the sweep (OPENIMA_WORKERS
-//                                       # env; flag wins)
+//                                       # of the sweep
 //   --workers-list=0,8                  # sweep rows (0 = serial trainer)
 //
 // Peak RSS is the process high-water mark, so a sweep row also carries
@@ -103,15 +102,11 @@ int main(int argc, char** argv) {
   config.batch_nodes = flags.GetInt("batch-nodes", 1024);
   config.pseudo_warmup_epochs = 1;
 
-  // Worker counts to run: an explicit --workers (or OPENIMA_WORKERS) pins
-  // a single row, otherwise the default sweep pairs the serial trainer
-  // with the 8-worker data-parallel row.
-  const auto env_int = [](const char* name, int fallback) {
-    const char* v = std::getenv(name);
-    return v == nullptr ? fallback : std::atoi(v);
-  };
+  // Worker counts to run: an explicit --workers pins a single row,
+  // otherwise the default sweep pairs the serial trainer with the 8-worker
+  // data-parallel row.
   std::vector<int> worker_counts;
-  const int single = flags.GetInt("workers", env_int("OPENIMA_WORKERS", -1));
+  const int single = flags.GetInt("workers", -1);
   if (single >= 0) {
     worker_counts.push_back(single);
   } else {

@@ -25,10 +25,12 @@
 //   ./quickstart --batch-nodes=1024       # seed nodes per sampled batch
 //                                         # (implies --sampled)
 //   ./quickstart --workers=8              # deterministic data-parallel
-//                                         # training: W model replicas +
-//                                         # tree all-reduce (implies
-//                                         # --sampled; bit-identical for
-//                                         # any W, DESIGN.md §2.8)
+//                                         # training: rounds of W
+//                                         # microbatches on W model
+//                                         # replicas + tree all-reduce
+//                                         # (implies --sampled; bit-
+//                                         # identical for any thread
+//                                         # count, DESIGN.md §2.8)
 //   ./quickstart --epochs=15              # training epochs
 //   ./quickstart --checkpoint-out=m.ckpt  # save a versioned checkpoint
 //                                         # after training (SERVING.md)
@@ -37,12 +39,8 @@
 //   ./quickstart --stop-after=8           # stop after this absolute epoch
 //                                         # (resume replays the rest
 //                                         # bit-identically)
-// Env equivalents (flags win): OPENIMA_SAMPLE_TRAIN=1,
-// OPENIMA_SAMPLE_FANOUT=<n>, OPENIMA_SAMPLE_BATCH_NODES=<n>,
-// OPENIMA_WORKERS=<w>.
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "src/core/openima.h"
@@ -160,28 +158,17 @@ int main(int argc, char** argv) {
   config.epochs = flags.GetInt("epochs", obs_smoke ? 4 : 15);
   config.lr = 5e-3f;
   // Neighbor-sampled minibatch mode: --sampled turns it on explicitly;
-  // giving either tuning flag (or any OPENIMA_SAMPLE_* env) implies it.
-  const auto env_int = [](const char* name, int fallback) {
-    const char* v = std::getenv(name);
-    return v == nullptr ? fallback : std::atoi(v);
-  };
-  config.sample_fanout = flags.GetInt(
-      "sample-fanout", env_int("OPENIMA_SAMPLE_FANOUT", config.sample_fanout));
-  config.batch_nodes = flags.GetInt(
-      "batch-nodes",
-      env_int("OPENIMA_SAMPLE_BATCH_NODES", config.batch_nodes));
-  config.sampled_training =
-      flags.GetBool("sampled",
-                    std::getenv("OPENIMA_SAMPLE_TRAIN") != nullptr) ||
-      flags.Has("sample-fanout") || flags.Has("batch-nodes") ||
-      std::getenv("OPENIMA_SAMPLE_FANOUT") != nullptr ||
-      std::getenv("OPENIMA_SAMPLE_BATCH_NODES") != nullptr;
+  // giving either tuning flag implies it.
+  config.sample_fanout = flags.GetInt("sample-fanout", config.sample_fanout);
+  config.batch_nodes = flags.GetInt("batch-nodes", config.batch_nodes);
+  config.sampled_training = flags.GetBool("sampled", false) ||
+                            flags.Has("sample-fanout") ||
+                            flags.Has("batch-nodes");
   // Data-parallel minibatch training: W persistent replicas, fixed-topology
-  // tree all-reduce, one Adam step per round — bit-identical to the serial
-  // schedule for any W, so it composes with every --backend and the
+  // tree all-reduce, one Adam step per round of W microbatches — the same
+  // bits for any thread count, so it composes with every --backend and the
   // telemetry-diff fixtures can gate the worker axis exactly.
-  config.workers =
-      flags.GetInt("workers", env_int("OPENIMA_WORKERS", config.workers));
+  config.workers = flags.GetInt("workers", config.workers);
   if (config.workers > 0) config.sampled_training = true;
   // Checkpointing knobs (SERVING.md): stop the epoch loop early, save a
   // versioned checkpoint, resume a saved one. A stop-save-resume sequence

@@ -104,7 +104,9 @@ Variable OodGatClassifier::EpochLoss(const graph::Dataset& dataset,
 
 StatusOr<std::vector<int>> OodGatClassifier::Predict(
     const graph::Dataset& dataset, const graph::OpenWorldSplit& split) {
-  const la::Matrix logits = model_->EvalLogits(dataset);
+  // One eval forward serves the head and the clustering of OOD nodes.
+  const la::Matrix embeddings = model_->EvalEmbeddings(dataset);
+  const la::Matrix logits = model_->head().ForwardFrozen(embeddings);
   std::vector<int> seen_pred = la::RowArgmax(logits);
   const std::vector<double> entropy = PredictionEntropies(logits);
 
@@ -121,9 +123,8 @@ StatusOr<std::vector<int>> OodGatClassifier::Predict(
       ood_mask[static_cast<size_t>(unlabeled[i])] = ood[i];
     }
   }
-  return ClusterDetectedOod(model_->EvalEmbeddings(dataset), seen_pred,
-                            ood_mask, split.num_seen, config_.num_novel,
-                            &rng_, config_.encoder.exec);
+  return ClusterDetectedOod(embeddings, seen_pred, ood_mask, split.num_seen,
+                            config_.num_novel, &rng_, config_.encoder.exec);
 }
 
 }  // namespace openima::baselines

@@ -21,8 +21,8 @@ Variable OpenLdnClassifier::EpochLoss(const graph::Dataset& dataset,
                                       const graph::OpenWorldSplit& split,
                                       int epoch) {
   const int n = dataset.num_nodes();
+  // One eval forward serves the pseudo labels and the peer search.
   la::Matrix pair_emb = model_->EvalEmbeddings(dataset);
-  la::RowL2NormalizeInPlace(&pair_emb);
 
   // Confident head pseudo labels for the self-training phase.
   std::vector<int> pseudo_nodes;
@@ -30,7 +30,7 @@ Variable OpenLdnClassifier::EpochLoss(const graph::Dataset& dataset,
   if (epoch >= options_.warmup_epochs && options_.pseudo_ce_weight > 0.0f) {
     std::vector<bool> is_labeled(static_cast<size_t>(n), false);
     for (int v : split.train_nodes) is_labeled[static_cast<size_t>(v)] = true;
-    la::Matrix probs = la::RowSoftmax(model_->EvalLogits(dataset));
+    la::Matrix probs = la::RowSoftmax(model_->head().ForwardFrozen(pair_emb));
     for (int v = 0; v < n; ++v) {
       if (is_labeled[static_cast<size_t>(v)]) continue;
       const float* row = probs.Row(v);
@@ -44,6 +44,7 @@ Variable OpenLdnClassifier::EpochLoss(const graph::Dataset& dataset,
       }
     }
   }
+  la::RowL2NormalizeInPlace(&pair_emb);
 
   Variable z = model_->Embed(dataset, /*training=*/true, &rng_);
   Variable logits = model_->Logits(z);

@@ -23,11 +23,13 @@ Variable OrcaClassifier::EpochLoss(const graph::Dataset& dataset,
   (void)epoch;
   const int n = dataset.num_nodes();
   const std::vector<int> unlabeled = split.UnlabeledNodes();
+  // One eval forward serves the margin and the peer search.
+  la::Matrix pair_emb = model_->EvalEmbeddings(dataset);
   // Uncertainty = 1 - mean max-softmax confidence on unlabeled nodes
   // (computed in eval mode, as in the reference implementation).
   float margin = 0.0f;
   if (options_.margin_scale != 0.0f && !unlabeled.empty()) {
-    la::Matrix probs = la::RowSoftmax(model_->EvalLogits(dataset));
+    la::Matrix probs = la::RowSoftmax(model_->head().ForwardFrozen(pair_emb));
     double conf = 0.0;
     for (int v : unlabeled) {
       const float* row = probs.Row(v);
@@ -39,7 +41,6 @@ Variable OrcaClassifier::EpochLoss(const graph::Dataset& dataset,
     margin = options_.margin_scale * static_cast<float>(1.0 - conf);
   }
 
-  la::Matrix pair_emb = model_->EvalEmbeddings(dataset);
   la::RowL2NormalizeInPlace(&pair_emb);
 
   Variable z = model_->Embed(dataset, /*training=*/true, &rng_);

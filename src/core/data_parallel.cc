@@ -3,21 +3,21 @@
 ///
 /// Each epoch shards the shuffled sampled-minibatch sequence into rounds of
 /// up to max(1, W) consecutive microbatches and takes ONE Adam step per
-/// round. W = 0 runs every round — one microbatch — in-thread on the
-/// primary model, which steps its own gradients and refreshes pseudo labels
-/// synchronously; it builds no replica, refresh thread or dp_ state. W > 0
-/// runs a round's microbatches on W persistent worker replicas (own
-/// parameter copy, memory pool, tape, sampler and counter-keyed RNG stream
-/// each), combines the replica gradients with a fixed-topology binary-tree
+/// round. W = 0 runs every round — one microbatch — on the primary model,
+/// which steps its own gradients and refreshes pseudo labels synchronously;
+/// it builds no replica, refresh thread or dp_ state. W > 0 runs a round's
+/// R microbatches as the R tasks of one ParallelFor on the model's
+/// exec::Context, slot j on persistent worker replica j (own parameter
+/// copy, memory pool, tape, sampler and counter-keyed RNG stream each),
+/// combines the replica gradients with a fixed-topology binary-tree
 /// all-reduce, steps the primary model, and broadcasts its weights back to
-/// every replica. The result is bit-identical to the serial reference
-/// (config.data_parallel_reference): the same rounds executed one
-/// microbatch at a time on the primary model, gradients accumulated into
-/// per-slot buffers and reduced by the same tree.
+/// every replica. The context's thread count only decides how many slots
+/// run at once: on a one-thread context the same code runs the slots one
+/// after another on the calling thread, with the same bits.
 ///
-/// Why the bits match, for any worker count and thread schedule:
-///  - a replica's forward/backward runs on a Context(1) pinned to the same
-///    kernel backend as the primary, and the kernel layer is
+/// Why the bits match, for any thread count and schedule:
+///  - a replica's forward/backward runs on its own Context(1) pinned to the
+///    same kernel backend as the primary, and the kernel layer is
 ///    thread-count- and storage-origin-invariant (exec/context.h,
 ///    la/pool.h);
 ///  - every microbatch draws dropout from Rng(DeriveStreamSeed(seed, tag)),
@@ -29,13 +29,13 @@
 /// Induction over rounds: equal weights in, equal gradients out, equal
 /// Adam step, equal weights broadcast.
 ///
-/// For W > 0 the pseudo-label refresh is pipelined behind training: at each
-/// refresh boundary the previously launched background refresh (eval-mode
-/// embeddings + K-Means on a weight *snapshot*) is joined and swapped in,
-/// and a new one is launched from the current weights. Labels therefore lag
-/// one refresh period behind the synchronous refresh — a schedule
-/// difference, not a nondeterminism: the reference mode runs the identical
-/// compute inline at the identical points.
+/// For W > 0 the pseudo-label refresh is pipelined behind training on a
+/// thread of its own: at each refresh boundary the previously launched
+/// background refresh (eval-mode embeddings + K-Means on a weight
+/// *snapshot*) is joined and swapped in, and a new one is launched from the
+/// current weights. Labels therefore lag one refresh period behind the
+/// synchronous refresh — a schedule difference, not a nondeterminism: the
+/// refresh reads only its snapshot, its own arena and its own RNG stream.
 
 #include <algorithm>
 #include <memory>
@@ -46,7 +46,7 @@
 #include "src/autograd/tape.h"
 #include "src/core/openima.h"
 #include "src/core/train_internal.h"
-#include "src/exec/replica.h"
+#include "src/exec/context.h"
 #include "src/la/backend/backend.h"
 #include "src/la/pool.h"
 #include "src/obs/obs.h"
@@ -62,9 +62,8 @@ namespace {
 /// streams that share the model seed.
 constexpr uint64_t kRefreshStreamSalt = 0x9e3779b97f4a7c15ULL;
 
-/// dst += src, element-wise, in plain scalar order. Both modes reduce with
-/// exactly this loop, so the reduction itself can never diverge between
-/// them (and it is backend-independent by construction).
+/// dst += src, element-wise, in plain scalar order: the reduction is
+/// backend-independent by construction.
 void AddInto(la::Matrix* dst, const la::Matrix& src) {
   OPENIMA_CHECK_EQ(dst->rows(), src.rows());
   OPENIMA_CHECK_EQ(dst->cols(), src.cols());
@@ -107,59 +106,43 @@ OpenImaModel::~OpenImaModel() = default;
 Status OpenImaModel::EnsureDataParallel(const graph::Dataset& dataset) {
   if (dp_ != nullptr) return Status::OK();
   dp_ = std::make_unique<DataParallelState>();
-  const int W = config_.workers;
-  const size_t P = model_->parameters().size();
 
   graph::SamplerConfig sc;
   sc.num_layers = 2;
   sc.fanout = config_.sample_fanout;
   sc.seed = seed_;
+  // Replica and refresh contexts are pinned to the primary's kernel backend
+  // so a backend override (--backend / OPENIMA_BACKEND / config exec pin)
+  // applies uniformly to every model copy.
+  const la::backend::KernelBackend* backend =
+      &la::backend::Resolve(config_.exec);
 
   // Replica models are initialized from a throwaway RNG and immediately
   // overwritten with the primary weights — construction must not consume
-  // draws from rng_ (the serial reference makes none here).
-  if (!config_.data_parallel_reference) {
-    dp_->set = std::make_unique<exec::ReplicaSet>(W);
-    for (int i = 0; i < W; ++i) {
-      auto rep = std::make_unique<WorkerReplica>();
-      rep->ctx = dp_->set->context(i);
-      // Pin the replica context to the primary's kernel backend so a
-      // backend override (--backend / OPENIMA_BACKEND / config exec pin)
-      // applies uniformly across replicas.
-      rep->ctx->set_kernel_backend(&la::backend::Resolve(config_.exec));
-      nn::GatEncoderConfig enc = config_.encoder;
-      enc.exec = rep->ctx;
-      Rng init(seed_);
-      rep->model =
-          std::make_unique<EncoderWithHead>(enc, config_.num_classes(), &init);
-      CopyParamValues(*model_, rep->model.get());
-      rep->sampler = std::make_unique<graph::NeighborSampler>(&dataset.graph, sc);
-      dp_->replicas.push_back(std::move(rep));
-    }
-  } else {
-    dp_->ref_grads.resize(static_cast<size_t>(W));
-    for (int j = 0; j < W; ++j) {
-      auto& slot = dp_->ref_grads[static_cast<size_t>(j)];
-      slot.reserve(P);
-      for (const auto& p : model_->parameters()) {
-        slot.emplace_back(p.rows(), p.cols());
-      }
-    }
+  // draws from rng_.
+  for (int i = 0; i < config_.workers; ++i) {
+    auto rep = std::make_unique<WorkerReplica>();
+    rep->ctx.set_kernel_backend(backend);
+    nn::GatEncoderConfig enc = config_.encoder;
+    enc.exec = &rep->ctx;
+    Rng init(seed_);
+    rep->model =
+        std::make_unique<EncoderWithHead>(enc, config_.num_classes(), &init);
+    CopyParamValues(*model_, rep->model.get());
+    rep->sampler = std::make_unique<graph::NeighborSampler>(&dataset.graph, sc);
+    dp_->replicas.push_back(std::move(rep));
   }
 
   if (config_.use_pseudo_labels) {
-    dp_->refresh_ctx.set_kernel_backend(&la::backend::Resolve(config_.exec));
+    dp_->refresh_ctx.set_kernel_backend(backend);
     nn::GatEncoderConfig enc = config_.encoder;
     enc.exec = &dp_->refresh_ctx;
     Rng init(seed_);
     dp_->refresh_model =
         std::make_unique<EncoderWithHead>(enc, config_.num_classes(), &init);
-    if (!config_.data_parallel_reference) {
-      dp_->refresh_thread =
-          std::make_unique<ThreadPool>(1, /*inline_when_single=*/false);
-      dp_->refresh_group =
-          std::make_unique<TaskGroup>(dp_->refresh_thread.get());
-    }
+    // Not a task of the model's context: a ParallelFor's Wait() would then
+    // wait for this long task too.
+    dp_->refresh_thread = std::make_unique<ThreadPool>(1);
   }
 
   // Checkpoint resume: re-install the refresh pipeline exactly as the save
@@ -178,8 +161,8 @@ Status OpenImaModel::EnsureDataParallel(const graph::Dataset& dataset) {
 }
 
 void OpenImaModel::JoinRefresh() {
-  if (dp_ != nullptr && dp_->refresh_group != nullptr) {
-    dp_->refresh_group->Wait();
+  if (dp_ != nullptr && dp_->refresh_thread != nullptr) {
+    dp_->refresh_thread->Wait();
   }
 }
 
@@ -197,7 +180,7 @@ std::vector<int> OpenImaModel::PipelinedContrastiveLabels(
     // the first boundary — nothing is in flight yet, so the first swap
     // happens one refresh period after the synchronous refresh's first).
     if (dp_->refresh_pending) {
-      if (dp_->refresh_group != nullptr) dp_->refresh_group->Wait();
+      dp_->refresh_thread->Wait();
       dp_->refresh_pending = false;
       OPENIMA_OBS_COUNT("train.pseudo_label_refreshes", 1);
       RefreshOutcome outcome = std::move(dp_->pending);
@@ -222,8 +205,7 @@ std::vector<int> OpenImaModel::PipelinedContrastiveLabels(
       auto task = [this, &dataset, &split, warm = std::move(warm), stream,
                    epoch, pooled] {
         OPENIMA_OBS_PHASE("pseudo_label_refresh");
-        // The refresh replica has its own arena; its misses are the same
-        // in threaded and reference mode because nothing else touches it.
+        // The refresh replica has its own arena, which nothing else touches.
         la::PoolBinding pool_binding(pooled ? &dp_->refresh_pool : nullptr);
         Rng refresh_rng(
             DeriveStreamSeed(seed_ ^ kRefreshStreamSalt, stream));
@@ -233,16 +215,12 @@ std::vector<int> OpenImaModel::PipelinedContrastiveLabels(
         out.snapshot_epoch = epoch;
         // The global unpooled-allocation counter is shared with concurrent
         // worker allocations, so its diff is meaningless here; record the
-        // sentinel in BOTH modes to keep their stats identical.
+        // sentinel instead.
         out.unpooled_allocs = -1;
         dp_->pending = std::move(out);
       };
       dp_->refresh_pending = true;
-      if (dp_->refresh_group != nullptr) {
-        dp_->refresh_group->Submit(std::move(task));
-      } else {
-        task();  // reference mode: same compute, inline, same schedule point
-      }
+      dp_->refresh_thread->Submit(std::move(task));
     }
   }
 
@@ -312,10 +290,10 @@ Status OpenImaModel::TrainOneEpochRounds(
   }
 
   // The schedule: one optimizer step per round of up to `per_step`
-  // microbatches. Rounds run on the replicas when there are any, and
-  // in-thread on the primary otherwise (W = 0, or the reference mode).
+  // microbatches. Without replicas (W = 0) a round's one microbatch runs on
+  // the primary; with them, slot j of the round runs on replica j, as task j
+  // of one ParallelFor on the model's context.
   const int per_step = std::max(1, config_.workers);
-  const bool threaded = dp_ != nullptr && dp_->set != nullptr;
   const size_t P = model_->parameters().size();
   EpochSums sums;
   const int64_t watchdog_before = obs::Watchdog::events();
@@ -332,57 +310,38 @@ Status OpenImaModel::TrainOneEpochRounds(
     // microbatches. R == 1 keeps the exact unscaled graph.
     const float inv_round = 1.0f / static_cast<float>(R);
 
-    if (threaded) {
-      TaskGroup group(dp_->set->task_pool());
-      for (int j = 0; j < R; ++j) {
-        WorkerReplica* rep = dp_->replicas[static_cast<size_t>(j)].get();
-        const Microbatch& mb = batches[first + static_cast<size_t>(j)];
-        group.Submit([this, rep, &mb, &dataset, &cl_labels, &train_label_of,
-                      inv_round, pooled] {
-          // Every inner phase lands under "worker/..." on this thread's
-          // private phase stack.
+    if (dp_ == nullptr) {
+      const Microbatch& mb = batches[first];
+      Rng mb_rng(DeriveStreamSeed(seed_, mb.tag));
+      round_results[0] = RunSampledMicrobatch(
+          config_, model_.get(), sampler, dataset, mb.seeds, cl_labels,
+          train_label_of, mb.tag, inv_round, &mb_rng, config_.exec);
+      // Per-microbatch scratch (block-sized matrices and graph nodes, all
+      // dead once RunSampledMicrobatch returns) recycles within the epoch.
+      if (pooled) tape_.Reset();
+    } else {
+      exec::Get(config_.exec).ParallelFor(R, 1, [&](int64_t begin,
+                                                    int64_t end) {
+        for (int64_t j = begin; j < end; ++j) {
+          WorkerReplica* rep = dp_->replicas[static_cast<size_t>(j)].get();
+          const Microbatch& mb = batches[first + static_cast<size_t>(j)];
+          // Every inner phase lands under "worker/..." on the running
+          // thread's phase stack: "epoch/worker/..." when the slot runs on
+          // the calling thread.
           OPENIMA_OBS_PHASE("worker");
           la::PoolBinding pool_binding(pooled ? &rep->pool : nullptr);
           autograd::TapeBinding tape_binding(pooled ? &rep->tape : nullptr);
           Rng mb_rng(DeriveStreamSeed(seed_, mb.tag));
-          rep->result = RunSampledMicrobatch(
+          round_results[static_cast<size_t>(j)] = RunSampledMicrobatch(
               config_, rep->model.get(), rep->sampler.get(), dataset,
-              mb.seeds, cl_labels, train_label_of, mb.tag, inv_round, &mb_rng,
-              rep->ctx);
-        });
-      }
-      group.Wait();
-      for (int j = 0; j < R; ++j) {
-        round_results[static_cast<size_t>(j)] =
-            dp_->replicas[static_cast<size_t>(j)]->result;
-      }
-    } else {
-      for (int j = 0; j < R; ++j) {
-        const Microbatch& mb = batches[first + static_cast<size_t>(j)];
-        Rng mb_rng(DeriveStreamSeed(seed_, mb.tag));
-        const MicrobatchResult result = RunSampledMicrobatch(
-            config_, model_.get(), sampler, dataset, mb.seeds, cl_labels,
-            train_label_of, mb.tag, inv_round, &mb_rng, config_.exec);
-        round_results[static_cast<size_t>(j)] = result;
-        if (result.stepped && dp_ != nullptr) {
-          // Reference mode: accumulate this slot's gradients; the primary's
-          // own buffers are overwritten by the next microbatch's backward.
-          const auto& params = model_->parameters();
-          auto& slot = dp_->ref_grads[static_cast<size_t>(j)];
-          for (size_t k = 0; k < P; ++k) {
-            const la::Matrix& g = params[k].grad();
-            std::copy(g.data(), g.data() + g.size(), slot[k].data());
-          }
+              mb.seeds, cl_labels, train_label_of, mb.tag, inv_round,
+              &mb_rng, &rep->ctx);
         }
-        // Per-microbatch scratch (block-sized matrices and graph nodes, all
-        // dead once RunSampledMicrobatch returns) recycles within the epoch.
-        if (pooled) tape_.Reset();
-      }
+      });
     }
 
     // Stepped slots in microbatch order; degenerate (unstepped) slots are
-    // excluded from the reduction rather than zero-filled, so the operand
-    // list — and therefore every bit of the sum — matches across modes.
+    // excluded from the reduction rather than zero-filled.
     std::vector<int> stepped;
     stepped.reserve(static_cast<size_t>(R));
     for (int j = 0; j < R; ++j) {
@@ -397,23 +356,20 @@ Status OpenImaModel::TrainOneEpochRounds(
         for (size_t k = 0; k < P; ++k) {
           grid.clear();
           for (int j : stepped) {
-            const size_t slot = static_cast<size_t>(j);
-            grid.push_back(
-                threaded
-                    ? &dp_->replicas[slot]->model->parameters()[k].node()->grad
-                    : &dp_->ref_grads[slot][k]);
+            grid.push_back(&dp_->replicas[static_cast<size_t>(j)]
+                                ->model->parameters()[k]
+                                .node()
+                                ->grad);
           }
           TreeReduce(&grid);
           reduced[k] = grid[0];
         }
       }
       OPENIMA_RETURN_IF_ERROR(StepOptimizer(&reduced, &sums));
-      if (threaded) {
-        // Broadcast the stepped weights so every replica starts the next
-        // round from the primary's exact bits.
-        for (auto& rep : dp_->replicas) {
-          CopyParamValues(*model_, rep->model.get());
-        }
+      // Broadcast the stepped weights so every replica starts the next
+      // round from the primary's exact bits.
+      for (auto& rep : dp_->replicas) {
+        CopyParamValues(*model_, rep->model.get());
       }
     }
     for (int j : stepped) {
@@ -426,7 +382,7 @@ Status OpenImaModel::TrainOneEpochRounds(
       ++sums.terms;
       // Worker graphs are dead (results copied, grads consumed); recycle
       // each replica's tape on the coordinator — no worker is running.
-      if (threaded && pooled) {
+      if (dp_ != nullptr && pooled) {
         dp_->replicas[static_cast<size_t>(j)]->tape.Reset();
       }
     }

@@ -57,9 +57,7 @@ Status OpenImaModel::SaveCheckpoint(const std::string& path) {
   // A pipelined refresh may still be running on the background thread; its
   // outcome is part of the training state (the next boundary swaps it in),
   // so join it and serialize the completed result.
-  if (dp_ != nullptr && dp_->refresh_pending && dp_->refresh_group != nullptr) {
-    dp_->refresh_group->Wait();
-  }
+  JoinRefresh();
 
   io::CheckpointWriter writer;
 

@@ -107,20 +107,16 @@ struct OpenImaConfig {
 
   // Deterministic data-parallel training (DESIGN.md §2.8). A sampled epoch
   // runs as rounds of max(1, `workers`) consecutive minibatches with ONE
-  // Adam step per round. 0 runs each one-minibatch round in-thread on the
-  // model and refreshes pseudo labels synchronously. `workers` > 0 shards
-  // each round across that many persistent model replicas (own arena, tape,
-  // sampler stream per replica), tree-reduces their gradients in a fixed
-  // topology and pipelines the refresh behind training — bit-identical to
-  // accumulating the same microbatches serially and stepping once, for any
-  // worker count including 1. Values > 0 require sampled_training.
+  // Adam step per round, so `workers` sets the round size (and the replica
+  // count), a schedule choice; `exec`'s thread count only sets how many of
+  // a round's replicas run at once. 0 runs each one-minibatch round on the
+  // model and refreshes pseudo labels synchronously. `workers` > 0 runs
+  // each round on that many persistent model replicas (own arena, tape,
+  // sampler stream per replica) as the tasks of one `exec` ParallelFor,
+  // tree-reduces their gradients in a fixed topology and pipelines the
+  // refresh behind training — bit-identical for any thread count, a
+  // one-thread context included. Values > 0 require sampled_training.
   int workers = 0;
-
-  /// Run the data-parallel *schedule* (round accumulation, single step per
-  /// round, pipelined pseudo-label refresh) serially on the primary model —
-  /// the reference the threaded path must match bit-for-bit. Only
-  /// meaningful with workers > 0; tests diff the two.
-  bool data_parallel_reference = false;
 
   /// Train() stops after this absolute epoch count (0 = train all
   /// config.epochs). The schedule — refresh boundaries, refresh-launch
@@ -347,13 +343,12 @@ class OpenImaModel {
   /// The sampled-minibatch epoch, for every worker count: shuffled seed
   /// batches of config_.batch_nodes nodes, each one microbatch, cut into
   /// rounds of max(1, W) with ONE optimizer step per round. W = 0 runs each
-  /// one-microbatch round in-thread on the primary, which steps its own
-  /// gradients, and refreshes pseudo labels synchronously. W > 0 runs each
-  /// round on the persistent replicas, tree-reduces their gradients in a
-  /// fixed topology, steps once and broadcasts the weights back, with the
-  /// pseudo-label refresh pipelined. Under data_parallel_reference the same
-  /// W > 0 rounds run in-thread on the primary. Defined in
-  /// data_parallel.cc.
+  /// one-microbatch round on the primary, which steps its own gradients,
+  /// and refreshes pseudo labels synchronously. W > 0 runs each round's
+  /// microbatches on the persistent replicas as the tasks of one
+  /// ParallelFor on config_.exec, tree-reduces their gradients in a fixed
+  /// topology, steps once and broadcasts the weights back, with the
+  /// pseudo-label refresh pipelined. Defined in data_parallel.cc.
   Status TrainOneEpochRounds(const graph::Dataset& dataset,
                              const graph::OpenWorldSplit& split,
                              graph::NeighborSampler* sampler, int epoch,
@@ -374,8 +369,8 @@ class OpenImaModel {
                      const graph::OpenWorldSplit& split, int epoch,
                      const EpochSums& sums, int64_t watchdog_before);
 
-  /// Builds dp_ (replica set, refresh replica, reference buffers) on the
-  /// first data-parallel epoch. Defined in data_parallel.cc.
+  /// Builds dp_ (worker replicas, refresh replica and thread) on the first
+  /// data-parallel epoch. Defined in data_parallel.cc.
   Status EnsureDataParallel(const graph::Dataset& dataset);
 
   /// ContrastiveLabels for W > 0: at a refresh boundary, swaps in the

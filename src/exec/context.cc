@@ -1,11 +1,12 @@
 #include "src/exec/context.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <climits>
 #include <mutex>
 #include <thread>
+#include <vector>
 
-#include "src/util/logging.h"
+#include "src/util/flags.h"
 
 namespace openima::exec {
 
@@ -114,25 +115,30 @@ void Context::ParallelForChunks(
 namespace {
 
 std::mutex g_default_mu;
-Context* g_default = nullptr;  // never freed: kernels may hold the pointer
 
-int ThreadsFromEnv() {
-  const char* env = std::getenv("OPENIMA_THREADS");
-  if (env == nullptr || *env == '\0') return 0;
-  return std::max(1, std::atoi(env));
+/// Every default context ever made, the current one last. Never freed:
+/// kernels may still hold a replaced default, and the list keeps each one
+/// reachable, so leak checkers do not report it.
+std::vector<Context*>& Defaults() {
+  static auto* defaults = new std::vector<Context*>;
+  return *defaults;
 }
 
 }  // namespace
 
 Context* Default() {
   std::lock_guard<std::mutex> lock(g_default_mu);
-  if (g_default == nullptr) g_default = new Context(ThreadsFromEnv());
-  return g_default;
+  if (Defaults().empty()) {
+    int threads = 0;  // host CPUs unless OPENIMA_THREADS parses
+    ReadEnvKnob("OPENIMA_THREADS", 0, INT_MAX, &threads);
+    Defaults().push_back(new Context(threads));
+  }
+  return Defaults().back();
 }
 
 void SetDefaultNumThreads(int num_threads) {
   std::lock_guard<std::mutex> lock(g_default_mu);
-  g_default = new Context(num_threads);
+  Defaults().push_back(new Context(num_threads));
 }
 
 }  // namespace openima::exec

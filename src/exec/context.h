@@ -93,13 +93,14 @@ class Context {
 };
 
 /// Process-wide default context. Sized from the OPENIMA_THREADS environment
-/// variable when set (<= 1 forces single-threaded execution), else from the
-/// host CPU. Never destroyed.
+/// variable when it is a whole number >= 0 (0 = host CPU, 1 = run inline),
+/// else from the host CPU; a malformed or negative value gets a stderr note.
+/// Never destroyed.
 Context* Default();
 
 /// Replaces the default context with one of the given size (0 = host CPU).
 /// The `--threads` flag of the bench binaries lands here. The previous
-/// default is intentionally leaked: kernels may still hold it.
+/// default is kept alive, never destroyed: kernels may still hold it.
 void SetDefaultNumThreads(int num_threads);
 
 /// Resolves the ubiquitous "nullptr means default" convention.

@@ -8,6 +8,7 @@
 #include <limits>
 
 #include "src/obs/metrics.h"
+#include "src/util/flags.h"
 
 namespace openima::obs {
 

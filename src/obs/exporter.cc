@@ -7,6 +7,8 @@
 #include <cstdlib>
 #include <utility>
 
+#include "src/util/flags.h"
+
 namespace openima::obs {
 namespace {
 

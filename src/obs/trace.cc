@@ -14,6 +14,7 @@
 #include "src/obs/metrics.h"
 #include "src/obs/telemetry.h"
 #include "src/obs/watchdog.h"
+#include "src/util/flags.h"
 #include "src/util/string_util.h"
 
 namespace openima::obs {

@@ -9,6 +9,7 @@
 #include <sstream>
 
 #include "src/obs/metrics.h"
+#include "src/util/flags.h"
 #include "src/util/logging.h"
 
 namespace openima::obs {

@@ -1,8 +1,12 @@
 #ifndef OPENIMA_UTIL_FLAGS_H_
 #define OPENIMA_UTIL_FLAGS_H_
 
+#include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <string>
+#include <type_traits>
 
 namespace openima {
 
@@ -30,6 +34,27 @@ class Flags {
   std::string program_name_;
   std::map<std::string, std::string> values_;
 };
+
+/// Reads the numeric environment knob `name` strictly. Unset or empty
+/// returns false and leaves `*value` alone. Otherwise the whole string must
+/// parse as a number in [lo, hi] (a whole number for integral T); a value
+/// that does not gets a stderr note naming the variable, and `*value` keeps
+/// its default. Every numeric OPENIMA_* knob is read through here.
+template <typename T>
+bool ReadEnvKnob(const char* name, T lo, T hi, T* value) {
+  const char* text = std::getenv(name);
+  if (text == nullptr || text[0] == '\0') return false;
+  char* end = nullptr;
+  const double parsed = std::strtod(text, &end);
+  const bool whole = std::is_floating_point_v<T> || std::floor(parsed) == parsed;
+  if (end == text || *end != '\0' || !whole ||
+      !(parsed >= static_cast<double>(lo) && parsed <= static_cast<double>(hi))) {
+    std::fprintf(stderr, "%s: invalid value '%s' (ignored)\n", name, text);
+    return false;
+  }
+  *value = static_cast<T>(parsed);
+  return true;
+}
 
 }  // namespace openima
 

@@ -2,20 +2,10 @@
 
 #include <algorithm>
 
-#include "src/util/logging.h"
-
 namespace openima {
 
-ThreadPool::ThreadPool(int num_threads, bool inline_when_single) {
-  if (num_threads == 0) {
-    num_threads = static_cast<int>(std::thread::hardware_concurrency());
-  }
-  // With one hardware thread, inline execution beats a worker thread —
-  // unless the caller explicitly wants the work off its own thread.
-  if (num_threads <= 1) {
-    if (inline_when_single) return;
-    num_threads = 1;
-  }
+ThreadPool::ThreadPool(int num_threads) {
+  num_threads = std::max(1, num_threads);
   workers_.reserve(static_cast<size_t>(num_threads));
   for (int i = 0; i < num_threads; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
@@ -32,10 +22,6 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::Submit(std::function<void()> task) {
-  if (workers_.empty()) {
-    task();
-    return;
-  }
   {
     std::unique_lock<std::mutex> lock(mu_);
     queue_.push(std::move(task));
@@ -44,7 +30,6 @@ void ThreadPool::Submit(std::function<void()> task) {
 }
 
 void ThreadPool::Wait() {
-  if (workers_.empty()) return;
   std::unique_lock<std::mutex> lock(mu_);
   all_done_.wait(lock, [this] { return queue_.empty() && in_flight_ == 0; });
 }
@@ -71,77 +56,6 @@ void ThreadPool::WorkerLoop() {
       if (queue_.empty() && in_flight_ == 0) all_done_.notify_all();
     }
   }
-}
-
-TaskGroup::~TaskGroup() {
-  // Tasks capture `this`; letting them outlive the group is a
-  // use-after-free. A group abandoned with work in flight is a bug.
-  std::unique_lock<std::mutex> lock(mu_);
-  done_.wait(lock, [this] { return pending_ == 0; });
-}
-
-void TaskGroup::Submit(std::function<void()> task) {
-  size_t index;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    index = errors_.size();
-    errors_.emplace_back(nullptr);
-    ++pending_;
-  }
-  auto wrapped = [this, index, task = std::move(task)] {
-    std::exception_ptr error;
-    try {
-      task();
-    } catch (...) {
-      error = std::current_exception();
-    }
-    std::lock_guard<std::mutex> lock(mu_);
-    if (error) errors_[index] = error;
-    if (--pending_ == 0) done_.notify_all();
-  };
-  if (pool_ != nullptr && pool_->num_threads() > 0) {
-    pool_->Submit(std::move(wrapped));
-  } else {
-    wrapped();
-  }
-}
-
-void TaskGroup::Wait() {
-  std::exception_ptr first;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    done_.wait(lock, [this] { return pending_ == 0; });
-    for (std::exception_ptr& e : errors_) {
-      if (e != nullptr) {
-        first = e;
-        break;
-      }
-    }
-    errors_.clear();
-  }
-  if (first) std::rethrow_exception(first);
-}
-
-void ParallelFor(ThreadPool* pool, int64_t n,
-                 const std::function<void(int64_t, int64_t)>& fn) {
-  if (n <= 0) return;
-  const int workers = pool == nullptr ? 0 : pool->num_threads();
-  if (workers <= 1) {
-    fn(0, n);
-    return;
-  }
-  const int64_t chunks = std::min<int64_t>(n, 4LL * workers);
-  const int64_t chunk_size = (n + chunks - 1) / chunks;
-  for (int64_t begin = 0; begin < n; begin += chunk_size) {
-    const int64_t end = std::min(n, begin + chunk_size);
-    pool->Submit([&fn, begin, end] { fn(begin, end); });
-  }
-  pool->Wait();
-}
-
-ThreadPool* DefaultThreadPool() {
-  static ThreadPool* pool = new ThreadPool();
-  return pool;
 }
 
 }  // namespace openima

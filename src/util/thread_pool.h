@@ -2,7 +2,6 @@
 #define OPENIMA_UTIL_THREAD_POOL_H_
 
 #include <condition_variable>
-#include <exception>
 #include <functional>
 #include <mutex>
 #include <queue>
@@ -12,19 +11,14 @@
 namespace openima {
 
 /// Fixed-size worker pool. Tasks are `void()` callables; `Wait()` blocks
-/// until the queue drains and all in-flight tasks finish.
-///
-/// On single-core hosts (num_threads <= 1) `Submit` runs the task inline,
-/// which keeps the parallel code paths exercised without thread overhead.
+/// until the queue drains and all in-flight tasks finish. Every pool starts
+/// real threads, even a pool of one: `exec::Context` only builds pools of at
+/// least two, and a one-thread pool exists to move work OFF the calling
+/// thread (the data-parallel trainer's background pseudo-label refresh).
 class ThreadPool {
  public:
-  /// `num_threads == 0` means hardware_concurrency(). When
-  /// `inline_when_single` is false a pool of max(1, num_threads) real
-  /// worker threads is spawned even for a single thread — required when
-  /// the point of the pool is to move work OFF the calling thread (the
-  /// data-parallel trainer's background pseudo-label refresh, the W=1
-  /// worker replica), not to speed it up.
-  explicit ThreadPool(int num_threads = 0, bool inline_when_single = true);
+  /// Starts max(1, num_threads) worker threads.
+  explicit ThreadPool(int num_threads);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -49,47 +43,6 @@ class ThreadPool {
   int in_flight_ = 0;
   bool shutting_down_ = false;
 };
-
-/// A batch of tasks whose completion — and failure — is tracked as a unit,
-/// independently of whatever else runs on the shared pool. `Wait()` blocks
-/// until every task submitted to THIS group has finished, then rethrows the
-/// first exception (by submission order, so the choice is deterministic even
-/// when several tasks fail concurrently) and resets the group for reuse.
-///
-/// With a null pool — or a pool without worker threads — Submit runs the
-/// task inline but still defers its exception to Wait(), so callers get one
-/// uniform control flow for the threaded and serial paths.
-class TaskGroup {
- public:
-  explicit TaskGroup(ThreadPool* pool) : pool_(pool) {}
-  ~TaskGroup();
-
-  TaskGroup(const TaskGroup&) = delete;
-  TaskGroup& operator=(const TaskGroup&) = delete;
-
-  /// Enqueues one task on the group's pool (inline when it has no workers).
-  void Submit(std::function<void()> task);
-
-  /// Blocks until every submitted task completed; rethrows the first
-  /// captured exception in submission order. The group is reusable after.
-  void Wait();
-
- private:
-  ThreadPool* pool_;
-  std::mutex mu_;
-  std::condition_variable done_;
-  int pending_ = 0;
-  std::vector<std::exception_ptr> errors_;  // slot per submitted task
-};
-
-/// Splits [0, n) into contiguous chunks and runs `fn(begin, end)` for each,
-/// using `pool` if provided (and it has workers), else serially. Blocks until
-/// every chunk completes.
-void ParallelFor(ThreadPool* pool, int64_t n,
-                 const std::function<void(int64_t, int64_t)>& fn);
-
-/// Returns a process-wide default pool sized to the host CPU.
-ThreadPool* DefaultThreadPool();
 
 }  // namespace openima
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <memory>
@@ -21,14 +22,14 @@
 /// Determinism contract of the data-parallel trainer (DESIGN.md §2.8):
 /// sharding each round of up to W consecutive sampled microbatches across W
 /// persistent replicas, tree-reducing their gradients in a fixed topology
-/// and taking one Adam step per round must be BIT-identical to running the
-/// same schedule serially on the primary model
-/// (config.data_parallel_reference) — for any worker count including 1,
-/// pooled or heap storage, any thread count, and every registered kernel
-/// backend. Everything here is EXPECT_EQ / byte equality, no tolerances;
-/// the telemetry JSONL files of the two modes are compared as raw bytes so
-/// the pipelined pseudo-label refresh schedule (snapshot epochs, refresh
-/// flags, quality columns) is pinned too.
+/// and taking one Adam step per round must give the same bits whether the
+/// round's replicas run one after another on a one-thread context or
+/// concurrently on a four-thread one — for any worker count including 1,
+/// pooled or heap storage, and every registered kernel backend. Everything
+/// here is EXPECT_EQ / byte equality, no tolerances; the telemetry JSONL
+/// files are compared as raw bytes so the pipelined pseudo-label refresh
+/// schedule (snapshot epochs, refresh flags, quality columns) is pinned
+/// too.
 namespace openima {
 namespace {
 
@@ -148,65 +149,110 @@ void ExpectIdentical(const DpRunOutput& a, const DpRunOutput& b,
       << label << ": telemetry JSONL differs";
 }
 
+/// Trains `config` with its primary context set to `ctx`.
+DpRunOutput RunDpOn(const graph::Dataset& dataset,
+                    const graph::OpenWorldSplit& split,
+                    core::OpenImaConfig config, const exec::Context* ctx,
+                    const std::string& telemetry_name) {
+  config.exec = ctx;
+  return RunDp(dataset, split, config, telemetry_name);
+}
+
+/// Number of threads of this process, or -1 where /proc/self/task is
+/// missing.
+int CountThreads() {
+  std::error_code error;
+  std::filesystem::directory_iterator it("/proc/self/task", error);
+  if (error) return -1;
+  int count = 0;
+  for (; it != std::filesystem::directory_iterator(); ++it) ++count;
+  return count;
+}
+
 // ---------------------------------------------------------------------------
-// Tentpole contract: threaded == serial reference for every worker count.
+// Core contract: the thread count of the model's context never moves a bit.
 // ---------------------------------------------------------------------------
 
 TEST(DataParallelTest, ThreadedMatchesSerialReferenceForAllWorkerCounts) {
   const graph::Dataset dataset = MakeSbmDataset();
   const graph::OpenWorldSplit split = MakeSplit(dataset);
+  exec::Context c1(1);
+  exec::Context c4(4);
   for (int workers : {1, 2, 4, 8}) {
     core::OpenImaConfig config = DpConfig(dataset, split);
     config.workers = workers;
-    config.data_parallel_reference = false;
-    const DpRunOutput threaded = RunDp(
-        dataset, split, config, "dp_w" + std::to_string(workers) + ".jsonl");
-    config.data_parallel_reference = true;
-    const DpRunOutput reference = RunDp(
-        dataset, split, config,
-        "dp_ref_w" + std::to_string(workers) + ".jsonl");
-    ExpectIdentical(threaded, reference, "W=" + std::to_string(workers));
+    const std::string w = std::to_string(workers);
+    const DpRunOutput threaded =
+        RunDpOn(dataset, split, config, &c4, "dp_w" + w + ".jsonl");
+    const DpRunOutput serial =
+        RunDpOn(dataset, split, config, &c1, "dp_serial_w" + w + ".jsonl");
+    ExpectIdentical(threaded, serial, "W=" + w + ", 4 vs 1 threads");
   }
 }
 
 /// The round schedule itself depends on W (one Adam step per round of W
 /// microbatches), so different worker counts are NOT expected to match each
-/// other — only each threaded run against its own-W reference. Sanity-check
+/// other — only each W against itself on another thread count. Sanity-check
 /// that the schedule axis is real: W=1 (step per microbatch) and W=4 (one
 /// step per 4 microbatches) must diverge.
 TEST(DataParallelTest, DifferentWorkerCountsAreDifferentSchedules) {
   const graph::Dataset dataset = MakeSbmDataset();
   const graph::OpenWorldSplit split = MakeSplit(dataset);
+  exec::Context c1(1);
   core::OpenImaConfig config = DpConfig(dataset, split);
-  config.data_parallel_reference = true;
   config.workers = 1;
-  const DpRunOutput w1 = RunDp(dataset, split, config, "dp_sched1.jsonl");
+  const DpRunOutput w1 = RunDpOn(dataset, split, config, &c1, "dp_sched1.jsonl");
   config.workers = 4;
-  const DpRunOutput w4 = RunDp(dataset, split, config, "dp_sched4.jsonl");
+  const DpRunOutput w4 = RunDpOn(dataset, split, config, &c1, "dp_sched4.jsonl");
   EXPECT_NE(w1.epoch_losses, w4.epoch_losses);
 }
 
 /// With pseudo-labeling off there is no pipelined refresh, and W=1 rounds
 /// are single microbatches with inv_round == 1 — the scaling op is skipped,
 /// so the autograd graph is byte-identical to that of the W=0 rounds, which
-/// step the primary's own gradients. All three paths (W=0, threaded W=1,
-/// reference W=1) must agree to the bit, telemetry included.
+/// step the primary's own gradients. W=0 on the primary and W=1 on a
+/// replica must agree to the bit, telemetry included, on either context.
 TEST(DataParallelTest, SingleWorkerMatchesSerialTrainerWithoutRefresh) {
   const graph::Dataset dataset = MakeSbmDataset();
   const graph::OpenWorldSplit split = MakeSplit(dataset);
+  exec::Context c1(1);
+  exec::Context c4(4);
   core::OpenImaConfig config = DpConfig(dataset, split);
   config.use_pseudo_labels = false;
+  for (const exec::Context* ctx : {&c1, &c4}) {
+    const std::string t = std::to_string(ctx->num_threads());
+    config.workers = 0;
+    const DpRunOutput primary =
+        RunDpOn(dataset, split, config, ctx, "dp_serial_t" + t + ".jsonl");
+    config.workers = 1;
+    const DpRunOutput replica =
+        RunDpOn(dataset, split, config, ctx, "dp_t1_t" + t + ".jsonl");
+    ExpectIdentical(primary, replica,
+                    "W=0 primary vs W=1 replica, " + t + " threads");
+  }
+}
 
-  config.workers = 0;
-  const DpRunOutput serial = RunDp(dataset, split, config, "dp_serial.jsonl");
-  config.workers = 1;
-  config.data_parallel_reference = false;
-  const DpRunOutput threaded = RunDp(dataset, split, config, "dp_t1.jsonl");
-  config.data_parallel_reference = true;
-  const DpRunOutput reference = RunDp(dataset, split, config, "dp_r1.jsonl");
-
-  ExpectIdentical(serial, threaded, "serial vs threaded W=1");
-  ExpectIdentical(serial, reference, "serial vs reference W=1");
+/// The replicas run as tasks of the model's context and start no thread
+/// of their own: W=4 on a one-thread context (pseudo labels off, so no
+/// refresh thread either) leaves the process's thread count unchanged
+/// while the trained model is alive.
+TEST(DataParallelTest, ReplicasStartNoThreadOfTheirOwn) {
+  if (CountThreads() < 0) GTEST_SKIP() << "no /proc/self/task";
+  const graph::Dataset dataset = MakeSbmDataset();
+  const graph::OpenWorldSplit split = MakeSplit(dataset);
+  // Kernels handed a null context use the process default; build it (and
+  // its pool) before counting.
+  exec::Default();
+  exec::Context c1(1);
+  core::OpenImaConfig config = DpConfig(dataset, split);
+  config.workers = 4;
+  config.use_pseudo_labels = false;
+  config.exec = &c1;
+  const int before = CountThreads();
+  core::OpenImaModel model(config, dataset.feature_dim(), 99);
+  const Status trained = model.Train(dataset, split);
+  ASSERT_TRUE(trained.ok()) << trained.message();
+  EXPECT_EQ(CountThreads(), before);
 }
 
 // ---------------------------------------------------------------------------
@@ -216,58 +262,62 @@ TEST(DataParallelTest, SingleWorkerMatchesSerialTrainerWithoutRefresh) {
 TEST(DataParallelTest, PooledAndHeapStorageAreBitIdentical) {
   const graph::Dataset dataset = MakeSbmDataset();
   const graph::OpenWorldSplit split = MakeSplit(dataset);
+  exec::Context c1(1);
+  exec::Context c4(4);
   core::OpenImaConfig config = DpConfig(dataset, split);
   config.workers = 2;
   config.use_memory_pool = true;
-  const DpRunOutput pooled = RunDp(dataset, split, config, "dp_pooled.jsonl");
+  const DpRunOutput pooled =
+      RunDpOn(dataset, split, config, &c4, "dp_pooled.jsonl");
   config.use_memory_pool = false;
-  const DpRunOutput heap = RunDp(dataset, split, config, "dp_heap.jsonl");
-  ExpectIdentical(pooled, heap, "pooled vs heap, threaded W=2");
+  const DpRunOutput heap = RunDpOn(dataset, split, config, &c4, "dp_heap.jsonl");
+  ExpectIdentical(pooled, heap, "pooled vs heap, W=2 on 4 threads");
 
-  // And the heap runs still match their own serial reference.
-  config.data_parallel_reference = true;
-  const DpRunOutput heap_ref =
-      RunDp(dataset, split, config, "dp_heap_ref.jsonl");
-  ExpectIdentical(heap, heap_ref, "heap threaded vs heap reference");
+  // And the heap runs do not depend on the thread count either.
+  const DpRunOutput heap_c1 =
+      RunDpOn(dataset, split, config, &c1, "dp_heap_c1.jsonl");
+  ExpectIdentical(heap, heap_c1, "heap, 4 vs 1 threads");
 }
 
+/// Context sizes between the two the other tests pin: 2 and 3 threads run
+/// a round of 4 slots in ranges of one slot each, as 4 threads do, but with
+/// slots queued behind busy threads.
 TEST(DataParallelTest, ThreadCountOfPrimaryContextDoesNotChangeResults) {
   const graph::Dataset dataset = MakeSbmDataset();
   const graph::OpenWorldSplit split = MakeSplit(dataset);
   exec::Context c1(1);
-  exec::Context c4(4);
-  auto run = [&](const exec::Context* ctx, const std::string& name) {
-    core::OpenImaConfig config = DpConfig(dataset, split);
-    config.workers = 2;
-    config.exec = ctx;
-    return RunDp(dataset, split, config, name);
-  };
-  const DpRunOutput r1 = run(&c1, "dp_ctx1.jsonl");
-  const DpRunOutput r4 = run(&c4, "dp_ctx4.jsonl");
-  ExpectIdentical(r1, r4, "threaded W=2, 1 vs 4 primary threads");
+  exec::Context c2(2);
+  exec::Context c3(3);
+  core::OpenImaConfig config = DpConfig(dataset, split);
+  config.workers = 4;
+  const DpRunOutput r1 = RunDpOn(dataset, split, config, &c1, "dp_ctx1.jsonl");
+  const DpRunOutput r2 = RunDpOn(dataset, split, config, &c2, "dp_ctx2.jsonl");
+  const DpRunOutput r3 = RunDpOn(dataset, split, config, &c3, "dp_ctx3.jsonl");
+  ExpectIdentical(r1, r2, "W=4, 1 vs 2 primary threads");
+  ExpectIdentical(r1, r3, "W=4, 1 vs 3 primary threads");
 }
 
 /// Per registered backend (`ctest -L backend` composes with `-L parallel`):
-/// threaded == reference with the backend pinned on the primary context —
+/// 4 threads == 1 thread with the backend pinned on the primary context —
 /// replicas inherit the pin via la::backend::Resolve at replica setup.
 TEST(DataParallelTest, EveryRegisteredBackendMatchesItsReference) {
   const graph::Dataset dataset = MakeSbmDataset();
   const graph::OpenWorldSplit split = MakeSplit(dataset);
   for (const la::backend::KernelBackend* be :
        la::backend::RegisteredBackends()) {
-    exec::Context ctx(1);
-    ctx.set_kernel_backend(be);
+    exec::Context c1(1);
+    exec::Context c4(4);
+    c1.set_kernel_backend(be);
+    c4.set_kernel_backend(be);
     core::OpenImaConfig config = DpConfig(dataset, split);
     config.workers = 2;
-    config.exec = &ctx;
-    config.data_parallel_reference = false;
-    const DpRunOutput threaded = RunDp(
-        dataset, split, config, std::string("dp_be_") + be->name() + ".jsonl");
-    config.data_parallel_reference = true;
-    const DpRunOutput reference =
-        RunDp(dataset, split, config,
-              std::string("dp_be_ref_") + be->name() + ".jsonl");
-    ExpectIdentical(threaded, reference, std::string("backend ") + be->name());
+    const DpRunOutput threaded =
+        RunDpOn(dataset, split, config, &c4,
+                std::string("dp_be_") + be->name() + ".jsonl");
+    const DpRunOutput serial =
+        RunDpOn(dataset, split, config, &c1,
+                std::string("dp_be_c1_") + be->name() + ".jsonl");
+    ExpectIdentical(threaded, serial, std::string("backend ") + be->name());
   }
 }
 

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <string>
+#include <thread>
 #include <vector>
 
 namespace openima::exec {
@@ -171,6 +176,44 @@ TEST(ContextTest, DefaultAndOverride) {
   Context explicit_ctx(2);
   EXPECT_EQ(&Get(&explicit_ctx), &explicit_ctx);
   SetDefaultNumThreads(0);  // restore a host-sized default for other tests
+}
+
+/// OPENIMA_THREADS sizes the process default as --threads does: a whole
+/// number >= 0, with 0 meaning the host CPUs. Any other value gets a stderr
+/// note and keeps the host default. The default is built once per process,
+/// so each value is read in a fresh child.
+TEST(ContextTest, ThreadsEnvParsesStrictly) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const std::string host = std::to_string(
+      std::max(1u, std::thread::hardware_concurrency()));
+  struct Case {
+    const char* value;  // nullptr = unset
+    std::string threads;
+    bool noted;  // an invalid value: a stderr note, then the host default
+  };
+  for (const Case& c :
+       {Case{nullptr, host, false}, Case{"3", "3", false},
+        Case{"1", "1", false}, Case{"0", host, false}, Case{"abc", host, true},
+        Case{"3x", host, true}, Case{"-2", host, true},
+        Case{"2.5", host, true}}) {
+    const std::string note =
+        c.noted ? "OPENIMA_THREADS: invalid value '" + std::string(c.value) +
+                      "' \\(ignored\\)\n"
+                : "";
+    const std::string expected = "^" + note + "threads=" + c.threads + ";";
+    EXPECT_EXIT(
+        {
+          if (c.value == nullptr) {
+            unsetenv("OPENIMA_THREADS");
+          } else {
+            setenv("OPENIMA_THREADS", c.value, 1);
+          }
+          std::fprintf(stderr, "threads=%d;", Default()->num_threads());
+          std::exit(0);
+        },
+        ::testing::ExitedWithCode(0), expected)
+        << (c.value == nullptr ? "unset" : c.value);
+  }
 }
 
 }  // namespace

@@ -6,8 +6,8 @@
 #include <limits>
 #include <numeric>
 #include <set>
-#include <stdexcept>
 #include <string>
+#include <thread>
 
 #include "src/util/flags.h"
 #include "src/util/rng.h"
@@ -287,7 +287,7 @@ TEST(FlagsTest, MalformedNumbersExitWithUsageError) {
 }
 
 // ---------------------------------------------------------------------------
-// ThreadPool / ParallelFor
+// ThreadPool
 // ---------------------------------------------------------------------------
 
 TEST(ThreadPoolTest, RunsAllSubmittedTasks) {
@@ -298,14 +298,6 @@ TEST(ThreadPoolTest, RunsAllSubmittedTasks) {
   }
   pool.Wait();
   EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPoolTest, InlineModeOnSingleThread) {
-  ThreadPool pool(1);
-  EXPECT_EQ(pool.num_threads(), 0) << "single-thread pools run inline";
-  int x = 0;
-  pool.Submit([&x] { x = 5; });
-  EXPECT_EQ(x, 5);
 }
 
 TEST(ThreadPoolTest, WaitWithEmptyQueueReturnsImmediately) {
@@ -333,99 +325,14 @@ TEST(ThreadPoolTest, ReentrantSubmitFromWorkerTask) {
 }
 
 TEST(ThreadPoolTest, ForcedThreadModeSpawnsARealWorker) {
-  ThreadPool pool(1, /*inline_when_single=*/false);
+  ThreadPool pool(1);
   EXPECT_EQ(pool.num_threads(), 1);
   const std::thread::id caller = std::this_thread::get_id();
   std::thread::id task_thread;
   pool.Submit([&task_thread] { task_thread = std::this_thread::get_id(); });
   pool.Wait();
   EXPECT_NE(task_thread, caller)
-      << "inline_when_single=false must move work off the calling thread";
-}
-
-// ---------------------------------------------------------------------------
-// TaskGroup
-// ---------------------------------------------------------------------------
-
-TEST(TaskGroupTest, WaitsForExactlyItsOwnTasks) {
-  ThreadPool pool(2);
-  std::atomic<int> group_done{0};
-  TaskGroup group(&pool);
-  for (int i = 0; i < 32; ++i) {
-    group.Submit([&group_done] { group_done.fetch_add(1); });
-  }
-  group.Wait();
-  EXPECT_EQ(group_done.load(), 32);
-}
-
-TEST(TaskGroupTest, RethrowsFirstExceptionBySubmissionOrder) {
-  ThreadPool pool(4);
-  TaskGroup group(&pool);
-  group.Submit([] {});  // slot 0: fine
-  group.Submit([] { throw std::runtime_error("first"); });
-  group.Submit([] { throw std::runtime_error("second"); });
-  try {
-    group.Wait();
-    FAIL() << "Wait() must rethrow";
-  } catch (const std::runtime_error& e) {
-    // Deterministic choice even when both tasks fail concurrently.
-    EXPECT_STREQ(e.what(), "first");
-  }
-}
-
-TEST(TaskGroupTest, IsReusableAfterWait) {
-  ThreadPool pool(2);
-  TaskGroup group(&pool);
-  std::atomic<int> counter{0};
-  group.Submit([&counter] { counter.fetch_add(1); });
-  group.Wait();
-  group.Submit([] { throw std::runtime_error("round two"); });
-  EXPECT_THROW(group.Wait(), std::runtime_error);
-  group.Submit([&counter] { counter.fetch_add(1); });
-  group.Wait();  // error state cleared by the previous Wait()
-  EXPECT_EQ(counter.load(), 2);
-}
-
-TEST(TaskGroupTest, NullPoolRunsInlineAndStillDefersExceptions) {
-  TaskGroup group(nullptr);
-  int x = 0;
-  group.Submit([&x] { x = 7; });
-  EXPECT_EQ(x, 7) << "no workers: task runs inline at Submit";
-  group.Submit([] { throw std::runtime_error("deferred"); });
-  // The exception must NOT escape Submit — uniform control flow with the
-  // threaded path means it surfaces at Wait().
-  EXPECT_THROW(group.Wait(), std::runtime_error);
-}
-
-TEST(TaskGroupTest, InlinePoolDefersExceptionsToo) {
-  ThreadPool pool(1);  // inline mode: num_threads() == 0
-  TaskGroup group(&pool);
-  group.Submit([] { throw std::runtime_error("inline"); });
-  EXPECT_THROW(group.Wait(), std::runtime_error);
-  group.Wait();  // reusable and clean after the rethrow
-}
-
-TEST(ParallelForTest, CoversEntireRangeExactlyOnce) {
-  ThreadPool pool(3);
-  std::vector<std::atomic<int>> hits(1000);
-  ParallelFor(&pool, 1000, [&hits](int64_t begin, int64_t end) {
-    for (int64_t i = begin; i < end; ++i) hits[static_cast<size_t>(i)]++;
-  });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ParallelForTest, NullPoolRunsSerially) {
-  int total = 0;
-  ParallelFor(nullptr, 10, [&total](int64_t begin, int64_t end) {
-    total += static_cast<int>(end - begin);
-  });
-  EXPECT_EQ(total, 10);
-}
-
-TEST(ParallelForTest, EmptyRangeIsNoop) {
-  bool called = false;
-  ParallelFor(nullptr, 0, [&called](int64_t, int64_t) { called = true; });
-  EXPECT_FALSE(called);
+      << "a one-thread pool must move work off the calling thread";
 }
 
 }  // namespace
