@@ -623,10 +623,11 @@ void TrainEpochSampledBackendBody(benchmark::State& state,
 
 /// Deterministic data-parallel sampled epochs under each backend, arg =
 /// worker count (n fixed at 1000 so rows are comparable with
-/// BM_TrainEpochSampledBackend's serial epochs). Measures the whole round
-/// machinery — replica forward/backward, tree all-reduce, one Adam step
-/// per round, weight broadcast — whose results are bit-identical to the
-/// serial schedule, so the row isolates pure wall-clock scaling.
+/// BM_TrainEpochSampledBackend's W=0 epochs). Measures the whole round
+/// machinery — slot forward/backward on the model and its replicas, tree
+/// all-reduce, one Adam step per round, weight broadcast. Each W is its
+/// own schedule, bit-identical across thread counts, so a row's time
+/// depends on the thread count only through scheduling.
 void TrainEpochDataParallelBackendBody(benchmark::State& state,
                                        const la::backend::KernelBackend* be) {
   const std::string previous = la::backend::Default().name();

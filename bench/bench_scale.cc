@@ -4,8 +4,10 @@
 // edges — in neighbor-sampled minibatch mode, and prints the scaling
 // numbers the full-graph trainer cannot produce at this size: per-epoch
 // wall time, seed-node throughput, accuracy and peak RSS. By default the
-// run is a worker sweep — the serial trainer followed by the deterministic
-// data-parallel trainer at 8 workers (DESIGN.md §2.8).
+// run is a worker sweep — W=0 (one Adam step per microbatch, on the model)
+// followed by the deterministic data-parallel trainer at W=8 (one step per
+// round of 8 microbatches, slot 0 on the model and 7 on replicas;
+// DESIGN.md §2.8).
 //
 // Run: ./bench_scale
 // Knobs:
@@ -14,7 +16,9 @@
 //   --hidden=64 --heads=2 --threads=N
 //   --workers=8                         # single run at W workers instead
 //                                       # of the sweep
-//   --workers-list=0,8                  # sweep rows (0 = serial trainer)
+//   --workers-list=0,8                  # sweep rows: comma-separated
+//                                       # worker counts (0 and 1 are
+//                                       # one schedule)
 //
 // Peak RSS is the process high-water mark, so a sweep row also carries
 // the rows before it; run one --workers value per process to isolate it.
@@ -22,7 +26,6 @@
 #include <sys/resource.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -34,7 +37,6 @@
 #include "src/obs/obs.h"
 #include "src/util/flags.h"
 #include "src/util/stopwatch.h"
-#include "src/util/string_util.h"
 
 namespace {
 
@@ -110,10 +112,7 @@ int main(int argc, char** argv) {
   if (single >= 0) {
     worker_counts.push_back(single);
   } else {
-    for (const std::string& part :
-         Split(flags.GetString("workers-list", "0,8"), ',')) {
-      if (!part.empty()) worker_counts.push_back(std::atoi(part.c_str()));
-    }
+    worker_counts = flags.GetIntList("workers-list", {0, 8});
   }
 
   for (const int workers : worker_counts) {

@@ -26,9 +26,11 @@
 //                                         # (implies --sampled)
 //   ./quickstart --workers=8              # deterministic data-parallel
 //                                         # training: rounds of W
-//                                         # microbatches on W model
-//                                         # replicas + tree all-reduce
-//                                         # (implies --sampled; bit-
+//                                         # microbatches, slot 0 on the
+//                                         # model and the rest on W-1
+//                                         # replicas, + tree all-reduce
+//                                         # (implies --sampled; 0 and 1
+//                                         # are one schedule; bit-
 //                                         # identical for any thread
 //                                         # count, DESIGN.md §2.8)
 //   ./quickstart --epochs=15              # training epochs
@@ -164,10 +166,11 @@ int main(int argc, char** argv) {
   config.sampled_training = flags.GetBool("sampled", false) ||
                             flags.Has("sample-fanout") ||
                             flags.Has("batch-nodes");
-  // Data-parallel minibatch training: W persistent replicas, fixed-topology
-  // tree all-reduce, one Adam step per round of W microbatches — the same
-  // bits for any thread count, so it composes with every --backend and the
-  // telemetry-diff fixtures can gate the worker axis exactly.
+  // Data-parallel minibatch training: one Adam step per round of W
+  // microbatches (slot 0 on the model, the rest on W-1 replicas),
+  // fixed-topology tree all-reduce — the same bits for any thread count, so
+  // it composes with every --backend and the telemetry-diff fixtures can
+  // gate the worker axis exactly. W=0 and W=1 are one schedule.
   config.workers = flags.GetInt("workers", config.workers);
   if (config.workers > 0) config.sampled_training = true;
   // Checkpointing knobs (SERVING.md): stop the epoch loop early, save a
@@ -180,9 +183,9 @@ int main(int argc, char** argv) {
     std::printf("training mode: sampled minibatch (fanout %d, %d seed "
                 "nodes/batch%s)\n",
                 config.sample_fanout, config.batch_nodes,
-                config.workers > 0
-                    ? (", " + std::to_string(config.workers) +
-                       " data-parallel workers")
+                config.workers >= 2
+                    ? (", data-parallel rounds of " +
+                       std::to_string(config.workers) + " microbatches")
                           .c_str()
                     : "");
   }

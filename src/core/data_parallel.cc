@@ -3,23 +3,28 @@
 ///
 /// Each epoch shards the shuffled sampled-minibatch sequence into rounds of
 /// up to max(1, W) consecutive microbatches and takes ONE Adam step per
-/// round. W = 0 runs every round — one microbatch — on the primary model,
-/// which steps its own gradients and refreshes pseudo labels synchronously;
-/// it builds no replica, refresh thread or dp_ state. W > 0 runs a round's
-/// R microbatches as the R tasks of one ParallelFor on the model's
-/// exec::Context, slot j on persistent worker replica j (own parameter
-/// copy, memory pool, tape, sampler and counter-keyed RNG stream each),
-/// combines the replica gradients with a fixed-topology binary-tree
-/// all-reduce, steps the primary model, and broadcasts its weights back to
-/// every replica. The context's thread count only decides how many slots
-/// run at once: on a one-thread context the same code runs the slots one
-/// after another on the calling thread, with the same bits.
+/// round. Slot 0 of every round runs on the model itself, with the
+/// trainer's sampler, pool and tape; slot j >= 1 runs on persistent worker
+/// replica j - 1 (own parameter copy, memory pool, tape and sampler). A
+/// round of one slot runs directly on the calling thread, with the whole
+/// context for its kernels; a round of R >= 2 slots runs them as the R
+/// tasks of one ParallelFor on the model's exec::Context, where every
+/// kernel call a slot makes runs inline. Either way the round then
+/// tree-reduces the stepped slots' gradients in a fixed topology, steps the
+/// model once, broadcasts its weights to the replicas and resets the slots'
+/// tapes. The context's thread count only decides how many slots run at
+/// once: on a one-thread context the same code runs them one after another
+/// on the calling thread, with the same bits.
 ///
-/// Why the bits match, for any thread count and schedule:
-///  - a replica's forward/backward runs on its own Context(1) pinned to the
-///    same kernel backend as the primary, and the kernel layer is
-///    thread-count- and storage-origin-invariant (exec/context.h,
-///    la/pool.h);
+/// W <= 1 builds no data-parallel state: every round is one microbatch on
+/// the model, with the synchronous pseudo-label refresh. W >= 2 builds
+/// min(W, batches per epoch) - 1 replicas, the most slots a round can
+/// fill, and pipelines the refresh.
+///
+/// Why the bits match, for any thread count:
+///  - every slot's kernels run on the model's context (inline inside a
+///    task), and the kernel layer is thread-count- and
+///    storage-origin-invariant (exec/context.h, la/pool.h);
 ///  - every microbatch draws dropout from Rng(DeriveStreamSeed(seed, tag)),
 ///    a pure function of the (seed, microbatch) pair — no shared generator
 ///    state, so draw order across threads is irrelevant;
@@ -29,7 +34,7 @@
 /// Induction over rounds: equal weights in, equal gradients out, equal
 /// Adam step, equal weights broadcast.
 ///
-/// For W > 0 the pseudo-label refresh is pipelined behind training on a
+/// For W >= 2 the pseudo-label refresh is pipelined behind training on a
 /// thread of its own: at each refresh boundary the previously launched
 /// background refresh (eval-mode embeddings + K-Means on a weight
 /// *snapshot*) is joined and swapped in, and a new one is launched from the
@@ -61,6 +66,11 @@ namespace {
 /// Stream-domain salt separating refresh RNG streams from microbatch
 /// streams that share the model seed.
 constexpr uint64_t kRefreshStreamSalt = 0x9e3779b97f4a7c15ULL;
+
+/// Seed nodes per microbatch: config.batch_nodes clamped to [2, n].
+int MicrobatchNodes(const OpenImaConfig& config, int n) {
+  return std::max(2, std::min(config.batch_nodes, n));
+}
 
 /// dst += src, element-wise, in plain scalar order: the reduction is
 /// backend-independent by construction.
@@ -111,30 +121,32 @@ Status OpenImaModel::EnsureDataParallel(const graph::Dataset& dataset) {
   sc.num_layers = 2;
   sc.fanout = config_.sample_fanout;
   sc.seed = seed_;
-  // Replica and refresh contexts are pinned to the primary's kernel backend
-  // so a backend override (--backend / OPENIMA_BACKEND / config exec pin)
-  // applies uniformly to every model copy.
-  const la::backend::KernelBackend* backend =
-      &la::backend::Resolve(config_.exec);
 
-  // Replica models are initialized from a throwaway RNG and immediately
-  // overwritten with the primary weights — construction must not consume
+  // A round holds at most min(W, batches per epoch) slots, and slot 0 runs
+  // on the model. Replica models use the model's encoder context: a replica
+  // only runs as a task of a round's ParallelFor, where every kernel call
+  // runs inline. They are initialized from a throwaway RNG and immediately
+  // overwritten with the model's weights — construction must not consume
   // draws from rng_.
-  for (int i = 0; i < config_.workers; ++i) {
+  const int n = dataset.num_nodes();
+  const int bn = MicrobatchNodes(config_, n);
+  const int num_replicas = std::min(config_.workers, (n + bn - 1) / bn) - 1;
+  for (int i = 0; i < num_replicas; ++i) {
     auto rep = std::make_unique<WorkerReplica>();
-    rep->ctx.set_kernel_backend(backend);
-    nn::GatEncoderConfig enc = config_.encoder;
-    enc.exec = &rep->ctx;
     Rng init(seed_);
-    rep->model =
-        std::make_unique<EncoderWithHead>(enc, config_.num_classes(), &init);
+    rep->model = std::make_unique<EncoderWithHead>(
+        config_.encoder, config_.num_classes(), &init);
     CopyParamValues(*model_, rep->model.get());
     rep->sampler = std::make_unique<graph::NeighborSampler>(&dataset.graph, sc);
     dp_->replicas.push_back(std::move(rep));
   }
 
   if (config_.use_pseudo_labels) {
-    dp_->refresh_ctx.set_kernel_backend(backend);
+    // The refresh replica runs on a thread of its own, outside any
+    // ParallelFor, so it keeps a one-thread context, pinned to the model's
+    // kernel backend so a backend override (--backend / OPENIMA_BACKEND /
+    // config exec pin) applies to it too.
+    dp_->refresh_ctx.set_kernel_backend(&la::backend::Resolve(config_.exec));
     nn::GatEncoderConfig enc = config_.encoder;
     enc.exec = &dp_->refresh_ctx;
     Rng init(seed_);
@@ -200,8 +212,15 @@ std::vector<int> OpenImaModel::PipelinedContrastiveLabels(
       const uint64_t stream = dp_->refresh_counter++;
       // Warm-start from the centers active right now (just swapped in, or
       // empty before the first swap -> cold start), copied because the
-      // background task outlives this scope.
-      la::Matrix warm = cached_pseudo_centers_;
+      // background task outlives this scope. The copy comes from the
+      // refresh arena: the refresh thread frees it at a time of its own
+      // choosing, which must not move the traffic of the model's pool_
+      // (slot 0 of every round draws from it). The refresh thread is idle
+      // here — the swap above just joined it.
+      la::Matrix warm = [&] {
+        la::PoolBinding warm_binding(pooled ? &dp_->refresh_pool : nullptr);
+        return la::Matrix(cached_pseudo_centers_);
+      }();
       auto task = [this, &dataset, &split, warm = std::move(warm), stream,
                    epoch, pooled] {
         OPENIMA_OBS_PHASE("pseudo_label_refresh");
@@ -252,13 +271,14 @@ Status OpenImaModel::TrainOneEpochRounds(
   const bool pooled = config_.use_memory_pool;
   refreshed_this_epoch_ = false;
 
-  // Without workers the pseudo-label refresh runs synchronously, as in the
-  // full-graph trainer: full eval-mode embeddings through (mini-batch)
-  // K-Means on the paper's cadence. With workers it is pipelined.
+  // Without data-parallel state (W <= 1) the pseudo-label refresh runs
+  // synchronously, as in the full-graph trainer: full eval-mode embeddings
+  // through (mini-batch) K-Means on the paper's cadence. With it (W >= 2)
+  // the refresh is pipelined.
   const std::vector<int> cl_labels =
-      dp_ == nullptr
-          ? ContrastiveLabels(dataset, split, epoch)
-          : PipelinedContrastiveLabels(dataset, split, epoch, num_epochs);
+      dp_ != nullptr
+          ? PipelinedContrastiveLabels(dataset, split, epoch, num_epochs)
+          : ContrastiveLabels(dataset, split, epoch);
 
   std::vector<int> train_label_of(static_cast<size_t>(n), -1);
   for (int v : split.train_nodes) {
@@ -270,7 +290,7 @@ Status OpenImaModel::TrainOneEpochRounds(
   std::vector<int> order(static_cast<size_t>(n));
   std::iota(order.begin(), order.end(), 0);
   rng_.Shuffle(&order);
-  const int bn = std::max(2, std::min(config_.batch_nodes, n));
+  const int bn = MicrobatchNodes(config_, n);
   const int num_batches = (n + bn - 1) / bn;
 
   struct Microbatch {
@@ -289,15 +309,29 @@ Status OpenImaModel::TrainOneEpochRounds(
          std::vector<int>(order.begin() + begin, order.begin() + end)});
   }
 
+  // The round's slots: slot 0 is the model with the trainer's sampler, pool
+  // and tape; slot j >= 1 is replica j - 1 with its own.
+  struct Slot {
+    EncoderWithHead* model;
+    graph::NeighborSampler* sampler;
+    la::Pool* pool;
+    autograd::Tape* tape;
+  };
+  std::vector<Slot> slots = {{model_.get(), sampler, &pool_, &tape_}};
+  if (dp_ != nullptr) {
+    for (const auto& rep : dp_->replicas) {
+      slots.push_back(
+          {rep->model.get(), rep->sampler.get(), &rep->pool, &rep->tape});
+    }
+  }
+
   // The schedule: one optimizer step per round of up to `per_step`
-  // microbatches. Without replicas (W = 0) a round's one microbatch runs on
-  // the primary; with them, slot j of the round runs on replica j, as task j
-  // of one ParallelFor on the model's context.
+  // microbatches, slot j of a round running microbatch j of it.
   const int per_step = std::max(1, config_.workers);
   const size_t P = model_->parameters().size();
   EpochSums sums;
   const int64_t watchdog_before = obs::Watchdog::events();
-  std::vector<MicrobatchResult> round_results(static_cast<size_t>(per_step));
+  std::vector<MicrobatchResult> round_results(slots.size());
   std::vector<la::Matrix*> grid;
   std::vector<const la::Matrix*> reduced(P);
 
@@ -305,37 +339,33 @@ Status OpenImaModel::TrainOneEpochRounds(
        first += static_cast<size_t>(per_step)) {
     const int R = static_cast<int>(
         std::min(static_cast<size_t>(per_step), batches.size() - first));
+    OPENIMA_CHECK_LE(static_cast<size_t>(R), slots.size());
     // Backpropagating loss/R makes the reduced gradient the gradient of the
     // round's mean loss — one serial Adam step over R accumulated
     // microbatches. R == 1 keeps the exact unscaled graph.
     const float inv_round = 1.0f / static_cast<float>(R);
-
-    if (dp_ == nullptr) {
-      const Microbatch& mb = batches[first];
+    auto run_slot = [&](int j) {
+      const Slot& slot = slots[static_cast<size_t>(j)];
+      const Microbatch& mb = batches[first + static_cast<size_t>(j)];
+      la::PoolBinding pool_binding(pooled ? slot.pool : nullptr);
+      autograd::TapeBinding tape_binding(pooled ? slot.tape : nullptr);
       Rng mb_rng(DeriveStreamSeed(seed_, mb.tag));
-      round_results[0] = RunSampledMicrobatch(
-          config_, model_.get(), sampler, dataset, mb.seeds, cl_labels,
-          train_label_of, mb.tag, inv_round, &mb_rng, config_.exec);
-      // Per-microbatch scratch (block-sized matrices and graph nodes, all
-      // dead once RunSampledMicrobatch returns) recycles within the epoch.
-      if (pooled) tape_.Reset();
+      round_results[static_cast<size_t>(j)] = RunSampledMicrobatch(
+          config_, slot.model, slot.sampler, dataset, mb.seeds, cl_labels,
+          train_label_of, mb.tag, inv_round, &mb_rng);
+    };
+    if (R == 1) {
+      // On the calling thread, so its kernels get the whole context.
+      run_slot(0);
     } else {
       exec::Get(config_.exec).ParallelFor(R, 1, [&](int64_t begin,
                                                     int64_t end) {
         for (int64_t j = begin; j < end; ++j) {
-          WorkerReplica* rep = dp_->replicas[static_cast<size_t>(j)].get();
-          const Microbatch& mb = batches[first + static_cast<size_t>(j)];
           // Every inner phase lands under "worker/..." on the running
           // thread's phase stack: "epoch/worker/..." when the slot runs on
           // the calling thread.
           OPENIMA_OBS_PHASE("worker");
-          la::PoolBinding pool_binding(pooled ? &rep->pool : nullptr);
-          autograd::TapeBinding tape_binding(pooled ? &rep->tape : nullptr);
-          Rng mb_rng(DeriveStreamSeed(seed_, mb.tag));
-          round_results[static_cast<size_t>(j)] = RunSampledMicrobatch(
-              config_, rep->model.get(), rep->sampler.get(), dataset,
-              mb.seeds, cl_labels, train_label_of, mb.tag, inv_round,
-              &mb_rng, &rep->ctx);
+          run_slot(static_cast<int>(j));
         }
       });
     }
@@ -347,17 +377,14 @@ Status OpenImaModel::TrainOneEpochRounds(
     for (int j = 0; j < R; ++j) {
       if (round_results[static_cast<size_t>(j)].stepped) stepped.push_back(j);
     }
-    if (!stepped.empty() && dp_ == nullptr) {
-      // W = 0: the round's one microbatch left its gradients on the primary.
-      OPENIMA_RETURN_IF_ERROR(StepOptimizer(nullptr, &sums));
-    } else if (!stepped.empty()) {
+    if (!stepped.empty()) {
       {
         OPENIMA_OBS_PHASE("allreduce");
         for (size_t k = 0; k < P; ++k) {
           grid.clear();
           for (int j : stepped) {
-            grid.push_back(&dp_->replicas[static_cast<size_t>(j)]
-                                ->model->parameters()[k]
+            grid.push_back(&slots[static_cast<size_t>(j)]
+                                .model->parameters()[k]
                                 .node()
                                 ->grad);
           }
@@ -365,11 +392,11 @@ Status OpenImaModel::TrainOneEpochRounds(
           reduced[k] = grid[0];
         }
       }
-      OPENIMA_RETURN_IF_ERROR(StepOptimizer(&reduced, &sums));
+      OPENIMA_RETURN_IF_ERROR(StepOptimizer(reduced, &sums));
       // Broadcast the stepped weights so every replica starts the next
-      // round from the primary's exact bits.
-      for (auto& rep : dp_->replicas) {
-        CopyParamValues(*model_, rep->model.get());
+      // round from the model's exact bits.
+      for (size_t j = 1; j < slots.size(); ++j) {
+        CopyParamValues(*model_, slots[j].model);
       }
     }
     for (int j : stepped) {
@@ -380,11 +407,12 @@ Status OpenImaModel::TrainOneEpochRounds(
       sums.bpcl_logit += r.bpcl_logit;
       sums.pairwise += r.pairwise;
       ++sums.terms;
-      // Worker graphs are dead (results copied, grads consumed); recycle
-      // each replica's tape on the coordinator — no worker is running.
-      if (dp_ != nullptr && pooled) {
-        dp_->replicas[static_cast<size_t>(j)]->tape.Reset();
-      }
+    }
+    // Per-microbatch scratch (block-sized matrices and graph nodes, all
+    // dead once RunSampledMicrobatch returns) recycles within the epoch;
+    // the coordinator resets each slot's tape while no slot is running.
+    if (pooled) {
+      for (int j = 0; j < R; ++j) slots[static_cast<size_t>(j)].tape->Reset();
     }
   }
 

@@ -3,10 +3,10 @@
 // SERVING.md). A checkpoint taken at an epoch boundary captures everything
 // the training loop's next epoch reads: parameters, Adam moments + step
 // count, the sequential RNG stream, the cached pseudo-label state and
-// telemetry carries, and — under data-parallel training — the pipelined
-// refresh pipeline (the in-flight background refresh is joined and its
-// completed outcome serialized, so the resumed run swaps in the same labels
-// the uninterrupted run would have).
+// telemetry carries, and — under data-parallel training (workers >= 2) —
+// the pipelined refresh pipeline (the in-flight background refresh is
+// joined and its completed outcome serialized, so the resumed run swaps in
+// the same labels the uninterrupted run would have).
 
 #include <algorithm>
 #include <utility>
@@ -299,6 +299,15 @@ Status OpenImaModel::LoadCheckpoint(const std::string& path) {
   // ---- dp (pipelined-refresh pipeline, data-parallel runs only) -----------
   std::unique_ptr<RestoredRefreshState> restored;
   if (reader.HasSection(kDpSection)) {
+    // Only W >= 2 pipelines the refresh; W <= 1 refreshes synchronously and
+    // would never install this state, so resuming would switch schedules.
+    if (config_.workers <= 1) {
+      return Status::InvalidArgument(StrFormat(
+          "checkpoint %s carries a \"%s\" section (the pipelined refresh of "
+          "workers >= 2), but this model trains with workers = %d, which "
+          "refreshes synchronously",
+          path.c_str(), kDpSection, config_.workers));
+    }
     auto dsrc_or = reader.Section(kDpSection);
     if (!dsrc_or.ok()) return dsrc_or.status();
     io::ByteSource dsrc = std::move(*dsrc_or);

@@ -356,10 +356,10 @@ Status OpenImaModel::TrainEpochs(const graph::Dataset& dataset,
     sampler = std::make_unique<graph::NeighborSampler>(&dataset.graph, sc);
   }
 
-  // Data-parallel substrate (replica models/contexts/threads, the refresh
-  // replica, reference-mode gradient buffers) — built before the pool
+  // Data-parallel substrate (the replicas, the refresh replica and its
+  // thread), only when a round can hold two slots — built before the pool
   // bindings below so its long-lived storage stays off the training arena.
-  if (config_.workers > 0) {
+  if (config_.workers >= 2) {
     OPENIMA_RETURN_IF_ERROR(EnsureDataParallel(dataset));
   }
 
@@ -518,7 +518,10 @@ Status OpenImaModel::TrainOneEpoch(const graph::Dataset& dataset,
     total.Backward();
   }
 
-  OPENIMA_RETURN_IF_ERROR(StepOptimizer(nullptr, &sums));
+  // After ZeroGrad every parameter has a gradient.
+  std::vector<const la::Matrix*> grads;
+  for (const auto& p : model_->parameters()) grads.push_back(&p.grad());
+  OPENIMA_RETURN_IF_ERROR(StepOptimizer(grads, &sums));
   // The epoch is one loss term: the block-scaled sum over every block.
   sums.loss = total.value()(0, 0);
   sums.terms = 1;
@@ -526,28 +529,18 @@ Status OpenImaModel::TrainOneEpoch(const graph::Dataset& dataset,
 }
 
 Status OpenImaModel::StepOptimizer(
-    const std::vector<const la::Matrix*>* grads, EpochSums* sums) {
+    const std::vector<const la::Matrix*>& grads, EpochSums* sums) {
   // Gradient L2 norms (global + per parameter, deterministic sequential
   // accumulation in parameter order) — measured between backward and the
   // optimizer step, only while a telemetry sink wants them.
   if (obs::TelemetryEnabled()) {
     obs::GradNormAccumulator norms;
-    if (grads != nullptr) {
-      for (const la::Matrix* g : *grads) norms.Add(g->data(), g->size());
-    } else {
-      for (const auto& p : model_->parameters()) {
-        if (p.HasGrad()) norms.Add(p.grad().data(), p.grad().size());
-      }
-    }
+    for (const la::Matrix* g : grads) norms.Add(g->data(), g->size());
     sums->grad_norm += norms.global();
     sums->param_grad_norms = norms.per_param();
   }
   ++sums->steps;
-  if (grads != nullptr) {
-    optimizer_->Step(*grads);
-  } else {
-    optimizer_->Step();
-  }
+  optimizer_->Step(grads);
   // Surface a numeric-watchdog trip (kAbort policy) as a training error
   // instead of optimizing on NaN for the remaining steps.
   return obs::Watchdog::ConsumeStatus();
@@ -603,10 +596,11 @@ OpenImaModel::MicrobatchResult OpenImaModel::RunSampledMicrobatch(
     graph::NeighborSampler* sampler, const graph::Dataset& dataset,
     const std::vector<int>& seeds, const std::vector<int>& cl_labels,
     const std::vector<int>& train_label_of, uint64_t tag, float inv_round,
-    Rng* rng, const exec::Context* ctx) {
+    Rng* rng) {
   const bool pairwise_on =
       config.large_graph_mode && config.pairwise_loss_weight > 0.0f;
   const int fd = dataset.feature_dim();
+  const exec::Context* ctx = config.exec;
   const la::backend::KernelBackend& be = la::backend::Resolve(ctx);
   MicrobatchResult out;
 

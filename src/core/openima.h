@@ -106,16 +106,17 @@ struct OpenImaConfig {
   const exec::Context* exec = nullptr;
 
   // Deterministic data-parallel training (DESIGN.md §2.8). A sampled epoch
-  // runs as rounds of max(1, `workers`) consecutive minibatches with ONE
-  // Adam step per round, so `workers` sets the round size (and the replica
-  // count), a schedule choice; `exec`'s thread count only sets how many of
-  // a round's replicas run at once. 0 runs each one-minibatch round on the
-  // model and refreshes pseudo labels synchronously. `workers` > 0 runs
-  // each round on that many persistent model replicas (own arena, tape,
-  // sampler stream per replica) as the tasks of one `exec` ParallelFor,
-  // tree-reduces their gradients in a fixed topology and pipelines the
-  // refresh behind training — bit-identical for any thread count, a
-  // one-thread context included. Values > 0 require sampled_training.
+  // runs as rounds of R = max(1, `workers`) consecutive minibatches with
+  // ONE Adam step per round, so `workers` sets only the round size, a
+  // schedule choice; `exec`'s thread count only sets how many of a round's
+  // slots run at once. Slot 0 of every round runs on the model, slot j >= 1
+  // on persistent replica j - 1 (own arena, tape and sampler), as the tasks
+  // of one `exec` ParallelFor; their gradients are tree-reduced in a fixed
+  // topology — bit-identical for any thread count, a one-thread context
+  // included. 0 and 1 are the same schedule: rounds of one minibatch on the
+  // model with the synchronous pseudo-label refresh. From 2 on, the model
+  // keeps min(workers, batches per epoch) - 1 replicas and pipelines the
+  // refresh behind training. Values > 0 require sampled_training.
   int workers = 0;
 
   /// Train() stops after this absolute epoch count (0 = train all
@@ -323,42 +324,44 @@ class OpenImaModel {
                        const std::vector<int>& ce_labels, int nb, int epoch);
 
   /// One sampled microbatch — sample, gather, forward, Eq. 6 losses,
-  /// backward — run by every round of the sampled trainer, in-thread on the
-  /// primary or on a worker replica. A round of R microbatches passes
-  /// inv_round = 1/R, so summing their gradients gives the gradient of the
-  /// round's mean loss; at R = 1 the scaling op is skipped and the graph is
-  /// unscaled. Leaves the gradients in `model`'s parameters; the caller owns
-  /// the optimizer step and the tape reset. `rng` must be the counter-keyed
-  /// stream for exactly this microbatch — Rng(DeriveStreamSeed(seed, tag))
-  /// — so the draws are a pure function of position, whichever thread or
-  /// replica runs it. Static: touches no model state, so replicas can run
-  /// it concurrently.
+  /// backward — run by every slot of every round of the sampled trainer,
+  /// on the model (slot 0) or on a worker replica. Its sampler, gather and
+  /// losses run on config.exec, its encoder on `model`'s own context. A
+  /// round of R microbatches passes inv_round = 1/R, so summing their
+  /// gradients gives the gradient of the round's mean loss; at R = 1 the
+  /// scaling op is skipped and the graph is unscaled. Leaves the gradients
+  /// in `model`'s parameters; the caller owns the optimizer step and the
+  /// tape reset. `rng` must be the counter-keyed stream for exactly this
+  /// microbatch — Rng(DeriveStreamSeed(seed, tag)) — so the draws are a
+  /// pure function of position, whichever thread or model runs it. Static:
+  /// touches no state of *this, so the slots can run it concurrently.
   static MicrobatchResult RunSampledMicrobatch(
       const OpenImaConfig& config, EncoderWithHead* model,
       graph::NeighborSampler* sampler, const graph::Dataset& dataset,
       const std::vector<int>& seeds, const std::vector<int>& cl_labels,
       const std::vector<int>& train_label_of, uint64_t tag, float inv_round,
-      Rng* rng, const exec::Context* ctx);
+      Rng* rng);
 
   /// The sampled-minibatch epoch, for every worker count: shuffled seed
   /// batches of config_.batch_nodes nodes, each one microbatch, cut into
-  /// rounds of max(1, W) with ONE optimizer step per round. W = 0 runs each
-  /// one-microbatch round on the primary, which steps its own gradients,
-  /// and refreshes pseudo labels synchronously. W > 0 runs each round's
-  /// microbatches on the persistent replicas as the tasks of one
-  /// ParallelFor on config_.exec, tree-reduces their gradients in a fixed
-  /// topology, steps once and broadcasts the weights back, with the
-  /// pseudo-label refresh pipelined. Defined in data_parallel.cc.
+  /// rounds of R = max(1, W) with ONE optimizer step per round. Every round
+  /// runs the same body: slot 0 on the model, slot j >= 1 on replica j - 1
+  /// (directly when the round holds one slot, else as the tasks of one
+  /// ParallelFor on config_.exec); then a fixed-topology tree reduce of the
+  /// stepped slots' gradients, one StepOptimizer, a broadcast of the
+  /// weights to the replicas and a reset of the slots' tapes. The
+  /// pseudo-label refresh is synchronous at W <= 1 and pipelined at
+  /// W >= 2. Defined in data_parallel.cc.
   Status TrainOneEpochRounds(const graph::Dataset& dataset,
                              const graph::OpenWorldSplit& split,
                              graph::NeighborSampler* sampler, int epoch,
                              int num_epochs);
 
-  /// One optimizer step on `grads` (one per parameter), or on the primary's
-  /// own gradients when `grads` is null. While telemetry is on, the step's
-  /// gradient norms are added to `sums` first. A numeric-watchdog trip
-  /// (kAbort policy) comes back as an error instead of training on NaN.
-  Status StepOptimizer(const std::vector<const la::Matrix*>* grads,
+  /// One optimizer step on `grads` (one per parameter, in parameter
+  /// order). While telemetry is on, the step's gradient norms are added to
+  /// `sums` first. A numeric-watchdog trip (kAbort policy) comes back as an
+  /// error instead of training on NaN.
+  Status StepOptimizer(const std::vector<const la::Matrix*>& grads,
                        EpochSums* sums);
 
   /// The epoch epilogue shared by both trainers: appends the epoch's mean
@@ -369,11 +372,12 @@ class OpenImaModel {
                      const graph::OpenWorldSplit& split, int epoch,
                      const EpochSums& sums, int64_t watchdog_before);
 
-  /// Builds dp_ (worker replicas, refresh replica and thread) on the first
-  /// data-parallel epoch. Defined in data_parallel.cc.
+  /// Builds dp_ on the first epoch at W >= 2: min(W, batches per epoch) - 1
+  /// worker replicas (slot 0 runs on the model) and, with pseudo labels on,
+  /// the refresh replica and its thread. Defined in data_parallel.cc.
   Status EnsureDataParallel(const graph::Dataset& dataset);
 
-  /// ContrastiveLabels for W > 0: at a refresh boundary, swaps in the
+  /// ContrastiveLabels for W >= 2: at a refresh boundary, swaps in the
   /// background refresh launched one period earlier and launches the next
   /// from the current weights, so labels lag one refresh period. Defined in
   /// data_parallel.cc.
@@ -440,10 +444,10 @@ class OpenImaModel {
   // EnsureDataParallel installs it (null otherwise).
   std::unique_ptr<RestoredRefreshState> restored_refresh_;
 
-  // Data-parallel substrate (replica contexts/threads, the background
-  // refresh replica, reference-mode gradient buffers). Built lazily on the
-  // first data-parallel epoch; declared last so its pools (which back the
-  // replica parameters) outlive nothing of ours and die first.
+  // Data-parallel substrate (the worker replicas, the background refresh
+  // replica and its thread; null at W <= 1). Built on the first epoch at
+  // W >= 2; declared last so its pools (which back the replica scratch)
+  // outlive nothing of ours and die first.
   std::unique_ptr<DataParallelState> dp_;
 };
 

@@ -12,14 +12,16 @@
 
 namespace openima::core {
 
-/// One persistent worker replica of the data-parallel trainer: round slot j
-/// always runs on replica j, as a task of the primary's context. Member
-/// order matters: the pool is declared first so it outlives the model
-/// parameters and tape blocks drawn from it.
+/// One persistent worker replica of the data-parallel trainer: round slot
+/// j >= 1 always runs on replica j - 1, as a task of the model's context,
+/// whose kernels it shares (they run inline inside the task). Its own pool
+/// and tape keep each slot the only user of its arena, so pool traffic is
+/// a function of the inputs alone. Member order matters: the pool is
+/// declared first so it outlives the model parameters and tape blocks
+/// drawn from it.
 struct OpenImaModel::WorkerReplica {
   la::Pool pool;
   autograd::Tape tape;
-  exec::Context ctx{1};  ///< pinned to the primary's kernel backend
   std::unique_ptr<EncoderWithHead> model;
   std::unique_ptr<graph::NeighborSampler> sampler;
 };
@@ -32,9 +34,10 @@ struct OpenImaModel::DataParallelState {
   std::vector<std::unique_ptr<WorkerReplica>> replicas;
 
   // Pipelined pseudo-label refresh (null thread and model without pseudo
-  // labels).
+  // labels). The refresh replica runs on its own thread, outside any
+  // ParallelFor, so it keeps a one-thread context of its own.
   la::Pool refresh_pool;
-  exec::Context refresh_ctx{1};
+  exec::Context refresh_ctx{1};  ///< pinned to the model's kernel backend
   std::unique_ptr<EncoderWithHead> refresh_model;
   RefreshOutcome pending;
   bool refresh_pending = false;

@@ -7,6 +7,7 @@
 #include <cstring>
 
 #include "src/util/logging.h"
+#include "src/util/string_util.h"
 
 namespace openima {
 
@@ -46,20 +47,45 @@ namespace {
   std::exit(2);
 }
 
+// Parses the whole of `text` as an int in range.
+bool ParseInt(const std::string& text, int* value) {
+  char* end = nullptr;
+  errno = 0;
+  const long parsed = std::strtol(text.c_str(), &end, 10);
+  if (end == text.c_str() || *end != '\0' || errno == ERANGE ||
+      parsed < INT_MIN || parsed > INT_MAX) {
+    return false;
+  }
+  *value = static_cast<int>(parsed);
+  return true;
+}
+
 }  // namespace
 
 int Flags::GetInt(const std::string& key, int default_value) const {
   auto it = values_.find(key);
   if (it == values_.end()) return default_value;
-  const char* text = it->second.c_str();
-  char* end = nullptr;
-  errno = 0;
-  const long value = std::strtol(text, &end, 10);
-  if (end == text || *end != '\0' || errno == ERANGE || value < INT_MIN ||
-      value > INT_MAX) {
+  int value = 0;
+  if (!ParseInt(it->second, &value)) {
     ExitBadValue(key, "an integer", it->second);
   }
-  return static_cast<int>(value);
+  return value;
+}
+
+std::vector<int> Flags::GetIntList(
+    const std::string& key, const std::vector<int>& default_value) const {
+  auto it = values_.find(key);
+  if (it == values_.end()) return default_value;
+  const char* expected = "a comma-separated list of integers";
+  // Split yields no entry for "" and an empty one for a trailing comma.
+  if (it->second.empty()) ExitBadValue(key, expected, it->second);
+  std::vector<int> values;
+  for (const std::string& entry : Split(it->second, ',')) {
+    int value = 0;
+    if (!ParseInt(entry, &value)) ExitBadValue(key, expected, it->second);
+    values.push_back(value);
+  }
+  return values;
 }
 
 double Flags::GetDouble(const std::string& key, double default_value) const {
@@ -76,7 +102,9 @@ bool Flags::GetBool(const std::string& key, bool default_value) const {
   auto it = values_.find(key);
   if (it == values_.end()) return default_value;
   const std::string& v = it->second;
-  return v == "true" || v == "1" || v == "yes" || v == "on";
+  if (v == "true" || v == "1" || v == "yes" || v == "on") return true;
+  if (v == "false" || v == "0" || v == "no" || v == "off") return false;
+  ExitBadValue(key, "a boolean (true/false, 1/0, yes/no, on/off)", v);
 }
 
 }  // namespace openima

@@ -7,6 +7,7 @@
 #include <map>
 #include <string>
 #include <type_traits>
+#include <vector>
 
 namespace openima {
 
@@ -18,11 +19,16 @@ class Flags {
   Flags(int argc, char** argv);
 
   /// Typed getters with defaults. A flag given without "=value" parses as
-  /// boolean true. GetInt and GetDouble exit 2 with a usage message when
-  /// the whole value is not an int (in range) or a number ("inf" is one).
+  /// boolean true. Each getter exits 2 with a usage message when the whole
+  /// value is not of its type: an int in range (GetInt), comma-separated
+  /// ints in range with no empty entry (GetIntList), a number, "inf"
+  /// included (GetDouble), or one of true/false, 1/0, yes/no, on/off
+  /// (GetBool).
   std::string GetString(const std::string& key,
                         const std::string& default_value) const;
   int GetInt(const std::string& key, int default_value) const;
+  std::vector<int> GetIntList(const std::string& key,
+                              const std::vector<int>& default_value) const;
   double GetDouble(const std::string& key, double default_value) const;
   bool GetBool(const std::string& key, bool default_value) const;
 

@@ -428,6 +428,63 @@ TEST(ModelCheckpointTest, LoadRejectsGeometryMismatch) {
   EXPECT_NE(s.message().find("workers"), std::string::npos);
 }
 
+/// Only W >= 2 pipelines the pseudo-label refresh, so only its checkpoints
+/// carry a `dp` section. A `dp` section under `workers` <= 1 (here a W=2
+/// checkpoint whose meta says W=1) would never be installed: the load
+/// refuses it instead of resuming on the synchronous schedule.
+TEST(ModelCheckpointTest, LoadRejectsRefreshPipelineWithoutReplicas) {
+  Fixture fx = SmallProblem();
+  core::OpenImaConfig config = SmallConfig(fx, 3);
+  config.sampled_training = true;
+  config.batch_nodes = 48;
+  config.workers = 2;
+  core::OpenImaModel model(config, fx.dataset.feature_dim(), /*seed=*/11);
+  ASSERT_TRUE(model.Train(fx.dataset, fx.split).ok());
+  const std::string trained = TempPath("dp_w2.ckpt");
+  ASSERT_TRUE(model.SaveCheckpoint(trained).ok());
+  auto reader = io::CheckpointReader::Open(trained);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  ASSERT_TRUE(reader->HasSection("dp"));
+
+  io::CheckpointWriter writer;
+  for (const std::string& name : reader->SectionNames()) {
+    auto src = reader->Section(name);
+    ASSERT_TRUE(src.ok()) << src.status().ToString();
+    io::ByteSink sink;
+    if (name == "meta") {
+      // u64 seed; u8 arch; i32 in_dim, hidden_dim, embedding_dim,
+      // num_heads, num_seen, num_novel, workers, epochs_done.
+      uint64_t seed = 0;
+      uint8_t arch = 0;
+      int32_t fields[8];
+      ASSERT_TRUE(src->ReadU64(&seed).ok());
+      ASSERT_TRUE(src->ReadU8(&arch).ok());
+      for (int32_t& v : fields) ASSERT_TRUE(src->ReadI32(&v).ok());
+      ASSERT_EQ(fields[6], 2);
+      fields[6] = 1;
+      sink.PutU64(seed);
+      sink.PutU8(arch);
+      for (int32_t v : fields) sink.PutI32(v);
+    } else {
+      std::string bytes(src->remaining(), '\0');
+      ASSERT_TRUE(src->ReadBytes(bytes.data(), bytes.size()).ok());
+      sink.PutBytes(bytes.data(), bytes.size());
+    }
+    ASSERT_TRUE(writer.AddSection(name, sink).ok());
+  }
+  const std::string path = TempPath("dp_as_w1.ckpt");
+  ASSERT_TRUE(writer.Finish(path).ok());
+
+  core::OpenImaConfig single = config;
+  single.workers = 1;
+  core::OpenImaModel w1(single, fx.dataset.feature_dim(), /*seed=*/11);
+  const Status s = w1.LoadCheckpoint(path);
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(s.message().find("\"dp\""), std::string::npos) << s.ToString();
+  EXPECT_EQ(w1.epochs_done(), 0);
+}
+
 TEST(ModelCheckpointTest, LoadRequiresFreshModel) {
   Fixture fx = SmallProblem();
   core::OpenImaConfig config = SmallConfig(fx, 3);

@@ -20,16 +20,17 @@
 #include "src/obs/watchdog.h"
 
 /// Determinism contract of the data-parallel trainer (DESIGN.md §2.8):
-/// sharding each round of up to W consecutive sampled microbatches across W
-/// persistent replicas, tree-reducing their gradients in a fixed topology
-/// and taking one Adam step per round must give the same bits whether the
-/// round's replicas run one after another on a one-thread context or
-/// concurrently on a four-thread one — for any worker count including 1,
-/// pooled or heap storage, and every registered kernel backend. Everything
-/// here is EXPECT_EQ / byte equality, no tolerances; the telemetry JSONL
-/// files are compared as raw bytes so the pipelined pseudo-label refresh
-/// schedule (snapshot epochs, refresh flags, quality columns) is pinned
-/// too.
+/// running each round of up to W consecutive sampled microbatches as slots
+/// (slot 0 on the model, slot j >= 1 on persistent replica j - 1),
+/// tree-reducing their gradients in a fixed topology and taking one Adam
+/// step per round must give the same bits whether the round's slots run
+/// one after another on a one-thread context or concurrently on a
+/// four-thread one — for any worker count, pooled or heap storage, and
+/// every registered kernel backend; and W = 0 and W = 1 are one schedule.
+/// Everything here is EXPECT_EQ / byte equality, no tolerances; the
+/// telemetry JSONL files are compared as raw bytes so the pseudo-label
+/// refresh schedule (snapshot epochs, refresh flags, quality columns) is
+/// pinned too.
 namespace openima {
 namespace {
 
@@ -207,11 +208,10 @@ TEST(DataParallelTest, DifferentWorkerCountsAreDifferentSchedules) {
   EXPECT_NE(w1.epoch_losses, w4.epoch_losses);
 }
 
-/// With pseudo-labeling off there is no pipelined refresh, and W=1 rounds
-/// are single microbatches with inv_round == 1 — the scaling op is skipped,
-/// so the autograd graph is byte-identical to that of the W=0 rounds, which
-/// step the primary's own gradients. W=0 on the primary and W=1 on a
-/// replica must agree to the bit, telemetry included, on either context.
+/// W=0 and W=1 are one schedule: rounds of one microbatch on the model,
+/// with inv_round == 1 (the scaling op is skipped) and the model stepping
+/// its own gradients. With pseudo-labeling off they must agree to the bit,
+/// telemetry included, on either context.
 TEST(DataParallelTest, SingleWorkerMatchesSerialTrainerWithoutRefresh) {
   const graph::Dataset dataset = MakeSbmDataset();
   const graph::OpenWorldSplit split = MakeSplit(dataset);
@@ -225,15 +225,68 @@ TEST(DataParallelTest, SingleWorkerMatchesSerialTrainerWithoutRefresh) {
     const DpRunOutput primary =
         RunDpOn(dataset, split, config, ctx, "dp_serial_t" + t + ".jsonl");
     config.workers = 1;
-    const DpRunOutput replica =
+    const DpRunOutput single =
         RunDpOn(dataset, split, config, ctx, "dp_t1_t" + t + ".jsonl");
-    ExpectIdentical(primary, replica,
-                    "W=0 primary vs W=1 replica, " + t + " threads");
+    ExpectIdentical(primary, single, "W=0 vs W=1, " + t + " threads");
   }
 }
 
-/// The replicas run as tasks of the model's context and start no thread
-/// of their own: W=4 on a one-thread context (pseudo labels off, so no
+/// The same with pseudo labels on: W=1 builds no refresh pipeline, so both
+/// run the synchronous refresh at the same epochs (warmup 1 + every 2 over
+/// 6 epochs: epochs 1, 3 and 5) and agree to the bit, telemetry included.
+TEST(DataParallelTest, SingleWorkerMatchesSerialTrainerWithRefresh) {
+  const graph::Dataset dataset = MakeSbmDataset();
+  const graph::OpenWorldSplit split = MakeSplit(dataset);
+  exec::Context c1(1);
+  exec::Context c4(4);
+  core::OpenImaConfig config = DpConfig(dataset, split);
+  ASSERT_TRUE(config.use_pseudo_labels);
+  for (const exec::Context* ctx : {&c1, &c4}) {
+    const std::string t = std::to_string(ctx->num_threads());
+    config.workers = 0;
+    const DpRunOutput w0 =
+        RunDpOn(dataset, split, config, ctx, "dp_refresh_w0_t" + t + ".jsonl");
+    config.workers = 1;
+    const DpRunOutput w1 =
+        RunDpOn(dataset, split, config, ctx, "dp_refresh_w1_t" + t + ".jsonl");
+    EXPECT_EQ(w0.refresh_pseudo_counts.size(), 3u);
+    ExpectIdentical(w0, w1, "W=0 vs W=1 with refresh, " + t + " threads");
+  }
+}
+
+/// A round holds at most as many slots as an epoch has microbatches:
+/// DpConfig's 4 batches make W=4 and W=64 one schedule (one round of 4 per
+/// epoch), and both build only the 3 replicas a round can fill.
+TEST(DataParallelTest, WorkerCountsBeyondTheBatchCountAreOneSchedule) {
+  const graph::Dataset dataset = MakeSbmDataset();
+  const graph::OpenWorldSplit split = MakeSplit(dataset);
+  exec::Context c4(4);
+  core::OpenImaConfig config = DpConfig(dataset, split);
+  config.workers = 4;
+  const DpRunOutput w4 = RunDpOn(dataset, split, config, &c4, "dp_w4.jsonl");
+  config.workers = 64;
+  const DpRunOutput w64 = RunDpOn(dataset, split, config, &c4, "dp_w64.jsonl");
+  ExpectIdentical(w4, w64, "W=4 vs W=64 over 4 batches");
+}
+
+/// Slot 0 of every round runs on the model itself, on the trainer's tape:
+/// at W=2 the model's tape serves graph nodes. A model that left every slot
+/// to replicas would build no training graph, and its tape would read 0.
+TEST(DataParallelTest, ModelRunsRoundSlotZero) {
+  const graph::Dataset dataset = MakeSbmDataset();
+  const graph::OpenWorldSplit split = MakeSplit(dataset);
+  core::OpenImaConfig config = DpConfig(dataset, split);
+  config.workers = 2;
+  config.use_memory_pool = true;
+  core::OpenImaModel model(config, dataset.feature_dim(), 99);
+  const Status trained = model.Train(dataset, split);
+  ASSERT_TRUE(trained.ok()) << trained.message();
+  EXPECT_GT(model.train_stats().tape_stats.nodes, 0);
+}
+
+/// Slot 0 runs on the model, and the replicas that run slots 1-3 have no
+/// context of their own: they run as tasks of the model's context and
+/// start no thread. W=4 on a one-thread context (pseudo labels off, so no
 /// refresh thread either) leaves the process's thread count unchanged
 /// while the trained model is alive.
 TEST(DataParallelTest, ReplicasStartNoThreadOfTheirOwn) {
@@ -298,8 +351,8 @@ TEST(DataParallelTest, ThreadCountOfPrimaryContextDoesNotChangeResults) {
 }
 
 /// Per registered backend (`ctest -L backend` composes with `-L parallel`):
-/// 4 threads == 1 thread with the backend pinned on the primary context —
-/// replicas inherit the pin via la::backend::Resolve at replica setup.
+/// 4 threads == 1 thread with the backend pinned on the model's context —
+/// replicas run their kernels on that context, so they share the pin.
 TEST(DataParallelTest, EveryRegisteredBackendMatchesItsReference) {
   const graph::Dataset dataset = MakeSbmDataset();
   const graph::OpenWorldSplit split = MakeSplit(dataset);

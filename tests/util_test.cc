@@ -8,6 +8,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "src/util/flags.h"
 #include "src/util/rng.h"
@@ -282,6 +283,53 @@ TEST(FlagsTest, MalformedNumbersExitWithUsageError) {
     Flags flags(2, const_cast<char**>(argv));
     EXPECT_EXIT(flags.GetDouble("scale", 1.0), ::testing::ExitedWithCode(2),
                 "flag --scale: expected a number")
+        << bad;
+  }
+}
+
+// A list flag is whole ints in range, comma-separated, with no empty entry;
+// anything else exits 2 instead of running with atoi's reading of it.
+TEST(FlagsTest, IntListsParseStrictly) {
+  const char* argv[] = {"prog", "--workers-list=0,8,-2", "--one=16"};
+  Flags flags(3, const_cast<char**>(argv));
+  EXPECT_EQ(flags.GetIntList("workers-list", {}), (std::vector<int>{0, 8, -2}));
+  EXPECT_EQ(flags.GetIntList("one", {}), (std::vector<int>{16}));
+  EXPECT_EQ(flags.GetIntList("missing", {1, 16, 64}),
+            (std::vector<int>{1, 16, 64}));
+  for (const char* bad :
+       {"16x", "2x,abc", "1,,2", ",1", "1,", "", "1.5", "99999999999"}) {
+    const std::string arg = std::string("--batch-sizes=") + bad;
+    const char* bad_argv[] = {"prog", arg.c_str()};
+    Flags bad_flags(2, const_cast<char**>(bad_argv));
+    EXPECT_EXIT(bad_flags.GetIntList("batch-sizes", {1}),
+                ::testing::ExitedWithCode(2),
+                "flag --batch-sizes: expected a comma-separated list of "
+                "integers, got \"" + std::string(bad) + "\"")
+        << bad;
+  }
+}
+
+// A boolean flag is one of true/false, 1/0, yes/no, on/off (or bare, which
+// is true); anything else exits 2 instead of reading as false.
+TEST(FlagsTest, BooleansParseStrictly) {
+  const char* argv[] = {"prog",     "--a=true", "--b=false", "--c=1",
+                        "--d=0",    "--e=yes",  "--f=no",    "--g=on",
+                        "--h=off",  "--bare"};
+  Flags flags(10, const_cast<char**>(argv));
+  for (const char* key : {"a", "c", "e", "g", "bare"}) {
+    EXPECT_TRUE(flags.GetBool(key, false)) << key;
+  }
+  for (const char* key : {"b", "d", "f", "h"}) {
+    EXPECT_FALSE(flags.GetBool(key, true)) << key;
+  }
+  EXPECT_TRUE(flags.GetBool("missing", true));
+  for (const char* bad : {"ture", "TRUE", "2", "", "y"}) {
+    const std::string arg = std::string("--sampled=") + bad;
+    const char* bad_argv[] = {"prog", arg.c_str()};
+    Flags bad_flags(2, const_cast<char**>(bad_argv));
+    EXPECT_EXIT(bad_flags.GetBool("sampled", false),
+                ::testing::ExitedWithCode(2),
+                "flag --sampled: expected a boolean")
         << bad;
   }
 }

@@ -28,7 +28,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -102,15 +101,13 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::vector<int> batch_sizes;
-  for (const std::string& part :
-       Split(flags.GetString("batch-sizes", "1,16,64"), ',')) {
-    const int b = std::atoi(part.c_str());
+  const std::vector<int> batch_sizes =
+      flags.GetIntList("batch-sizes", {1, 16, 64});
+  for (const int b : batch_sizes) {
     if (b <= 0) {
-      std::fprintf(stderr, "bad --batch-sizes entry \"%s\"\n", part.c_str());
+      std::fprintf(stderr, "bad --batch-sizes entry %d\n", b);
       return 1;
     }
-    batch_sizes.push_back(b);
   }
 
   // The graph the quickstart checkpoint was trained on (features are part

@@ -14,6 +14,8 @@
 // Exit codes: 0 = pass, 1 = regression/validation failure, 2 = usage or
 // I/O error.
 
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -67,7 +69,18 @@ int main(int argc, char** argv) {
       tolerance_path = argv[i];
     } else if (arg == "--max-reported") {
       if (++i >= argc) return Usage();
-      options.max_reported = std::atoi(argv[i]);
+      char* end = nullptr;
+      errno = 0;
+      const long n = std::strtol(argv[i], &end, 10);
+      if (end == argv[i] || *end != '\0' || errno == ERANGE || n < 0 ||
+          n > INT_MAX) {
+        std::fprintf(stderr,
+                     "run_diff: --max-reported needs a whole number >= 0, "
+                     "got '%s'\n",
+                     argv[i]);
+        return Usage();
+      }
+      options.max_reported = static_cast<int>(n);
     } else if (arg == "--help" || arg == "-h") {
       Usage();
       return 0;
